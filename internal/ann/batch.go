@@ -163,10 +163,10 @@ func (ix *Index) TopKManyAppendStats(queries [][]float64, ks []int, skip func(qi
 // stateDist scores slot under the state's prepared query, with the same
 // kernels and operation order as the single-query dist/distQ/distX.
 func (ix *Index) stateDist(s *batchQueryState, slot int32) float64 {
-	nd := &ix.nodes[slot]
 	if s.useQ {
-		return 1 - float64(quant.Dot8(s.qcode, nd.code))*s.qscale*nd.corr
+		return 1 - float64(quant.Dot8(s.qcode, ix.code(slot)))*s.qscale*ix.qcorr[slot]
 	}
+	nd := &ix.nodes[slot]
 	if ix.f32 {
 		return 1 - vec.Dot32(s.q32, nd.vec32)
 	}
@@ -555,15 +555,7 @@ func (ix *Index) scorePendingX(s *batchQueryState) {
 // mirroring TopKAppendStats line for line.
 func (ix *Index) rerankState(s *batchQueryState, skip func(qi, id int) bool, out []Result) []Result {
 	cands := s.results.data
-	slices.SortFunc(cands, func(a, b candidate) int {
-		if a.dist < b.dist {
-			return -1
-		}
-		if a.dist > b.dist {
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(cands, byDist)
 	out = out[:0]
 	for ci, c := range cands {
 		if s.useQ && ci+1 < len(cands) {

@@ -1,6 +1,8 @@
 package ann
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -31,6 +33,40 @@ func sameResults(a, b [][]Result) bool {
 	return true
 }
 
+// indexState is a deep copy of everything an index stores per slot, for
+// asserting that an index did not change underneath its clone's writes.
+type indexState struct {
+	vecs      [][]float64
+	vecs32    [][]float32
+	neighbors [][][]int32
+	qflat     []int8
+	qcorr     []float64
+}
+
+func captureState(ix *Index) indexState {
+	st := indexState{qflat: slices.Clone(ix.qflat), qcorr: slices.Clone(ix.qcorr)}
+	for i := range ix.nodes {
+		nd := &ix.nodes[i]
+		st.vecs = append(st.vecs, slices.Clone(nd.vec))
+		st.vecs32 = append(st.vecs32, slices.Clone(nd.vec32))
+		layers := make([][]int32, len(nd.neighbors))
+		for l, layer := range nd.neighbors {
+			layers[l] = slices.Clone(layer)
+		}
+		st.neighbors = append(st.neighbors, layers)
+	}
+	return st
+}
+
+func (a indexState) equal(b indexState) bool {
+	same := len(a.vecs) == len(b.vecs) && slices.Equal(a.qflat, b.qflat) && slices.Equal(a.qcorr, b.qcorr)
+	for i := 0; same && i < len(a.vecs); i++ {
+		same = slices.Equal(a.vecs[i], b.vecs[i]) && slices.Equal(a.vecs32[i], b.vecs32[i]) &&
+			slices.EqualFunc(a.neighbors[i], b.neighbors[i], func(x, y []int32) bool { return slices.Equal(x, y) })
+	}
+	return same
+}
+
 // TestCloneIsolation: mutations on either side of a Clone are invisible
 // to the other — the property the serving layer's copy-on-write
 // discipline rests on.
@@ -40,18 +76,23 @@ func TestCloneIsolation(t *testing.T) {
 	ix := buildIndex(t, vectors[:n], Params{})
 	probes := randomVectors(20, dim, 99)
 
-	before := snapshotTopK(ix, probes, k)
+	before, state := snapshotTopK(ix, probes, k), captureState(ix)
 	cp := ix.Clone()
 
 	// Mutate the clone heavily: inserts (linking into shared adjacency
-	// neighbourhoods), overwrites (tombstone + relink) and deletes.
+	// neighbourhoods), moves (near and far, re-linked in the slots both
+	// sides share) and deletes.
 	for i := n; i < n+200; i++ {
 		if err := cp.Insert(i, vectors[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 50; i++ {
 		if err := cp.Insert(i, vectors[n+i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := cp.Insert(100+i, nudged(rng, vectors[100+i], 1e-4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,6 +102,9 @@ func TestCloneIsolation(t *testing.T) {
 
 	if got := snapshotTopK(ix, probes, k); !sameResults(before, got) {
 		t.Fatal("mutating a clone changed the original's results")
+	}
+	if !captureState(ix).equal(state) {
+		t.Fatal("mutating a clone changed the original's vectors or adjacency")
 	}
 	if ix.Len() != n {
 		t.Fatalf("original Len = %d after clone mutations, want %d", ix.Len(), n)

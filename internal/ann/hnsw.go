@@ -9,6 +9,18 @@
 // plain dot product. Queries (TopK) are safe to run concurrently with each
 // other; Insert and Delete require external synchronisation against both
 // queries and other writes.
+//
+// Updates keep slots stable. Insert of an id the index already holds moves
+// that node: it keeps its slot and level, takes the new vector (and code)
+// and is re-linked by the same routine that links a first insert — search
+// on the serving kernel, select on exact distances (see link). There is
+// no threshold below which a move is too small to re-link: every move
+// pays the full search and selection, so a graph that has been updated
+// all over serves the recall of one the same routine builds from scratch
+// (the package's property tests hold it to that). Tombstones arise only
+// from Delete — an explicit removal, or a row that became the zero
+// vector, which cosine cannot place — and the store rebuilds the index
+// once they outnumber the live nodes.
 package ann
 
 import (
@@ -20,7 +32,9 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
+	"github.com/retrodb/retro/internal/cpu"
 	"github.com/retrodb/retro/internal/quant"
 	"github.com/retrodb/retro/internal/vec"
 )
@@ -71,12 +85,14 @@ type Result struct {
 	Score float64 // cosine similarity
 }
 
+// node is one slot of the graph. The vector slices are immutable once
+// installed (a moved node gets a fresh slice, see setVector) and the
+// per-layer adjacency slices are never written in place, so a Clone can
+// share both with the index it was cloned from.
 type node struct {
 	id        int
 	vec       []float64 // unit-normalised copy (float64 index, nil on f32)
 	vec32     []float32 // unit-normalised copy (float32 index, nil on f64)
-	code      []int8    // SQ8 code of vec (nil when quantization is off)
-	corr      float64   // reciprocal decoded-code norm (see quant.Encode)
 	neighbors [][]int32 // adjacency per layer, 0..level
 	deleted   bool
 }
@@ -107,14 +123,15 @@ type Index struct {
 	quant  *quant.Codebook
 	rerank int
 
-	// Slot-major flat views of the per-node quantization state, kept in
-	// lockstep with nodes whenever quant is set: node i's code is
-	// qflat[i*dim:(i+1)*dim] (nd.code aliases it) and its correction is
-	// qcorr[i]. The batched walk computes code addresses from the slot
-	// alone — no node-header load on the gather/prefetch path — which is
-	// where the single-query path spends a large share of its stalls.
-	// Clone copies both with exact-length clones so divergent clones
-	// never share spare append capacity.
+	// Slot-major per-node quantization state, kept in lockstep with nodes
+	// whenever quant is set: node i's SQ8 code is qflat[i*dim:(i+1)*dim]
+	// and its correction (the reciprocal decoded-code norm, see
+	// quant.Encode) is qcorr[i]. These two arrays are the only home of the
+	// codes — node headers carry no alias — so every kernel computes a
+	// code's address from the slot alone, and an index owns its codes
+	// outright: Clone copies both arrays (at exact length, so divergent
+	// clones never share spare append capacity), which is what lets a
+	// re-link re-encode a moved node's code in place.
 	qflat []int8
 	qcorr []float64
 }
@@ -280,8 +297,14 @@ func (ix *Index) prepareQueryCodes(sc *searchScratch) {
 // traversal loops hoist the mode branch and inline the kernel, instead
 // of paying a call per hop.
 func (ix *Index) distQ(sc *searchScratch, slot int32) float64 {
-	nd := &ix.nodes[slot]
-	return 1 - float64(quant.Dot8(sc.qcode, nd.code))*sc.qscale*nd.corr
+	return 1 - float64(quant.Dot8(sc.qcode, ix.code(slot)))*sc.qscale*ix.qcorr[slot]
+}
+
+// code returns slot's window of the flat code array (quantized index
+// only).
+func (ix *Index) code(slot int32) []int8 {
+	n := int(slot)
+	return ix.qflat[n*ix.dim : (n+1)*ix.dim]
 }
 
 func (ix *Index) distX(sc *searchScratch, slot int32) float64 {
@@ -314,10 +337,12 @@ func (ix *Index) distNodes(a, b int32) float64 {
 	return 1 - vec.Dot(ix.nodes[a].vec, ix.nodes[b].vec)
 }
 
-// Insert adds a vector under the given id. Inserting an existing id
-// replaces its vector (the old node is tombstoned and a fresh one linked).
-// Zero vectors are rejected: cosine similarity is undefined for them, and
-// the exact search path skips them too.
+// Insert adds a vector under the given id, or — when the index already
+// holds the id — moves that node to the new vector in place: same slot,
+// same level, no draw from the level generator, no tombstone. Either way
+// the node is then connected by link. Zero vectors are rejected: cosine
+// similarity is undefined for them, and the exact search path skips them
+// too.
 func (ix *Index) Insert(id int, v []float64) error {
 	if len(v) != ix.dim {
 		return fmt.Errorf("ann: vector for id %d has dim %d, index has %d", id, len(v), ix.dim)
@@ -326,51 +351,30 @@ func (ix *Index) Insert(id int, v []float64) error {
 	if n == 0 {
 		return fmt.Errorf("ann: zero vector for id %d", id)
 	}
-	if _, ok := ix.slots[id]; ok {
-		ix.Delete(id)
-	}
 	unit := make([]float64, ix.dim)
 	for i, x := range v {
 		unit[i] = x / n
 	}
 
-	level := int(math.Floor(-math.Log(1-ix.rng.Float64()) * ix.levelMult))
-	slot := int32(len(ix.nodes))
-	nd := node{id: id, neighbors: make([][]int32, level+1)}
-	if ix.f32 {
-		// The float64 unit vector is narrowed once at the store boundary;
-		// traversal, quantization and persistence all read the rounded
-		// copy, so every downstream consumer sees one consistent value.
-		nd.vec32 = vec.Narrow(make([]float32, ix.dim), unit)
+	slot, held := ix.slots[id]
+	moved := 0.0
+	if held {
+		moved = ix.setVector(slot, unit)
 	} else {
-		nd.vec = unit
-	}
-	if ix.quant != nil {
-		// Incremental code maintenance: the new vector is encoded with the
-		// codebook trained at quantization time (out-of-range components
-		// saturate), so the quantized traversal sees it immediately. The
-		// code is appended to the slot-major flat array and the node
-		// header aliases its slot's window, keeping the batch path's
-		// qflat/qcorr invariant intact.
-		base := len(ix.qflat)
-		ix.qflat = append(ix.qflat, make([]int8, ix.dim)...)
-		nd.code = ix.qflat[base : base+ix.dim : base+ix.dim]
-		if ix.f32 {
-			// Encode from the narrowed copy, not the float64 unit, so the
-			// code matches what a retrain over the stored rows would emit.
-			nd.corr = ix.quant.Encode32(nd.code, nd.vec32)
-		} else {
-			nd.corr = ix.quant.Encode(nd.code, unit)
+		level := int(math.Floor(-math.Log(1-ix.rng.Float64()) * ix.levelMult))
+		slot = int32(len(ix.nodes))
+		ix.nodes = append(ix.nodes, node{id: id, neighbors: make([][]int32, level+1)})
+		if ix.quant != nil {
+			ix.qflat = append(ix.qflat, make([]int8, ix.dim)...)
+			ix.qcorr = append(ix.qcorr, 0)
 		}
-		ix.qcorr = append(ix.qcorr, nd.corr)
-	}
-	ix.nodes = append(ix.nodes, nd)
-	ix.slots[id] = slot
-
-	if ix.entry < 0 {
-		ix.entry = slot
-		ix.maxLevel = level
-		return nil
+		ix.setVector(slot, unit)
+		ix.slots[id] = slot
+		if ix.entry < 0 {
+			ix.entry = slot
+			ix.maxLevel = level
+			return nil
+		}
 	}
 
 	sc := ix.acquireScratch()
@@ -381,54 +385,215 @@ func (ix *Index) Insert(id int, v []float64) error {
 	sc.q = sc.q[:ix.dim]
 	copy(sc.q, unit)
 	ix.prepareQueryCodes(sc)
+	ix.link(sc, slot, moved)
+	return nil
+}
 
+// setVector installs unit as slot's vector and returns how far the node
+// moved, as 1 - cosine against the vector it replaces (0 for a new node).
+// The node gets a fresh slice — the old one may be shared with a Clone
+// that readers are still traversing — while its code is re-encoded in
+// place, in the slot's own window of the code array, which no other index
+// shares (see Index.qflat). On an f32 index the float64 unit vector is
+// narrowed once, here; traversal, quantization and persistence all read
+// the rounded copy, so every downstream consumer sees one consistent
+// value.
+func (ix *Index) setVector(slot int32, unit []float64) (moved float64) {
+	nd := &ix.nodes[slot]
+	if ix.f32 {
+		fresh := vec.Narrow(make([]float32, ix.dim), unit)
+		if nd.vec32 != nil {
+			moved = 1 - vec.Dot32(nd.vec32, fresh)
+		}
+		nd.vec32 = fresh
+	} else {
+		if nd.vec != nil {
+			moved = 1 - vec.Dot(nd.vec, unit)
+		}
+		nd.vec = unit
+	}
+	if ix.quant != nil {
+		ix.qcorr[slot] = ix.encode(ix.code(slot), nd)
+	}
+	return moved
+}
+
+// link connects slot, whose vector is in place and prepared as the
+// scratch's query, to its neighbourhood. It is the one routine behind
+// every link in the graph — first insert and move alike:
+//
+//   - search on the serving kernel: the greedy descent and the
+//     EfConstruction beam run on whatever queries run on (SQ8 codes on a
+//     quantized index), so construction explores the graph the way the
+//     queries it serves will;
+//   - select on exact distances: the beam's candidates are re-scored
+//     exactly before selectNeighbors sees them, because the diversity
+//     test compares a candidate's distance to the node with exact
+//     node-to-node distances, and the next layer is seeded from the
+//     nearest candidate.
+//
+// Node and selected neighbours are then linked both ways, each list
+// shrinking by the usual heuristic when a link overflows it.
+//
+// A moved node is still in the graph while it is re-linked. The beam may
+// walk through it (its previous links are as good a shortcut as any) but
+// it is never its own candidate, and links other nodes hold to it simply
+// stay. What becomes of its own links depends on how far it went, judged
+// per layer against the graph's own scale there — the distance to its new
+// nearest neighbour — so there is nothing to tune. Within that distance
+// the node is still where its links say it is: it keeps them and the new
+// selection is added to them, which is also what keeps the degree a node
+// has accumulated from back-links (resetting every moved node to its M
+// selections thins a graph that is updated all over, and costs recall).
+// Beyond it the links describe a place the node has left: it starts over
+// from the selection, as a new node would, and the neighbours it left
+// behind are repaired (see relinkAbandoned).
+func (ix *Index) link(sc *searchScratch, slot int32, moved float64) {
+	level := len(ix.nodes[slot].neighbors) - 1
 	ep := ix.entry
-	// Greedy descent through the layers above the new node's level.
+	// Greedy descent through the layers above the node's level.
 	for l := ix.maxLevel; l > level; l-- {
 		ep = ix.greedyClosest(sc, ep, l)
 	}
 	// Link on each shared layer, widest candidate list first.
 	for l := min(level, ix.maxLevel); l >= 0; l-- {
 		sc.visited.reset()
-		cands := ix.searchLayer(sc, ep, ix.params.EfConstruction, l)
-		chosen := ix.selectNeighbors(cands, ix.params.M)
-		ix.nodes[slot].neighbors[l] = chosen
+		cands := ix.linkCandidates(sc, slot, ep, l)
+		if len(cands) == 0 {
+			continue // alone on this layer
+		}
 		maxConn := ix.params.M
 		if l == 0 {
 			maxConn = 2 * ix.params.M
 		}
+		chosen := ix.selectNeighbors(cands, ix.params.M)
+		prev := ix.nodes[slot].neighbors[l]
+		left := moved > cands[0].dist
+		if left || len(prev) == 0 {
+			ix.nodes[slot].neighbors[l] = chosen
+		}
 		for _, nb := range chosen {
-			// Copy-append, never grow in place: the adjacency slice may be
-			// structurally shared with a Clone serving concurrent queries.
-			nbs := ix.nodes[nb].neighbors[l]
-			grown := make([]int32, len(nbs)+1)
-			copy(grown, nbs)
-			grown[len(nbs)] = slot
-			ix.nodes[nb].neighbors[l] = grown
-			if len(grown) > maxConn {
-				ix.shrink(nb, l, maxConn)
-			}
+			ix.addLink(slot, nb, l, maxConn)
+			ix.addLink(nb, slot, l, maxConn)
 		}
-		if len(cands) > 0 {
-			ep = cands[0].slot
+		if left {
+			ix.relinkAbandoned(slot, prev, chosen, l, maxConn)
 		}
+		ep = cands[0].slot
 	}
 	if level > ix.maxLevel {
 		ix.maxLevel = level
 		ix.entry = slot
 	}
-	return nil
+}
+
+// linkCandidates runs the construction beam for slot on layer l from ep
+// and returns its candidates — slot itself excluded — under exact
+// distances, ascending. The slice aliases sc like searchLayer's.
+func (ix *Index) linkCandidates(sc *searchScratch, slot, ep int32, l int) []candidate {
+	cands := ix.beam(sc, ep, ix.params.EfConstruction, l)
+	if i := slices.IndexFunc(cands, func(c candidate) bool { return c.slot == slot }); i >= 0 {
+		cands = slices.Delete(cands, i, i+1)
+	}
+	if sc.useQ {
+		// The beam read codes; the rows it now needs are cold. Start on the
+		// row a few candidates ahead while scoring this one.
+		for i := range cands {
+			if i+rescoreAhead < len(cands) {
+				ix.prefetchRow(cands[i+rescoreAhead].slot)
+			}
+			cands[i].dist = ix.distNodes(slot, cands[i].slot)
+		}
+	}
+	slices.SortFunc(cands, byDist)
+	return cands
+}
+
+const rescoreAhead = 4
+
+// prefetchRow hints slot's exact vector into cache.
+func (ix *Index) prefetchRow(slot int32) {
+	nd := &ix.nodes[slot]
+	if ix.f32 {
+		cpu.PrefetchRange(unsafe.Pointer(&nd.vec32[0]), 4*ix.dim)
+	} else {
+		cpu.PrefetchRange(unsafe.Pointer(&nd.vec[0]), 8*ix.dim)
+	}
+}
+
+// byDist orders candidates by ascending distance.
+func byDist(a, b candidate) int {
+	if a.dist < b.dist {
+		return -1
+	}
+	if a.dist > b.dist {
+		return 1
+	}
+	return 0
+}
+
+// addLink gives node a a link to b on layer l unless it has one already,
+// shrinking a's list back to maxConn if the link overflows it.
+// Copy-append, never grow in place: the adjacency slice may be
+// structurally shared with a Clone serving concurrent queries.
+func (ix *Index) addLink(a, b int32, l, maxConn int) {
+	nbs := ix.nodes[a].neighbors[l]
+	if slices.Contains(nbs, b) {
+		return
+	}
+	grown := make([]int32, len(nbs)+1)
+	copy(grown, nbs)
+	grown[len(nbs)] = b
+	if len(grown) > maxConn {
+		grown = ix.shrink(a, grown, maxConn)
+	}
+	ix.nodes[a].neighbors[l] = grown
+}
+
+// relinkAbandoned repairs the neighbourhood a far-moved node left. Each
+// previous neighbour the node no longer links to, but which still links
+// to the node, now holds a link to somewhere far away in place of one
+// into its own surroundings. It re-selects its links from its own list
+// plus the rest of the node's previous neighbourhood — its likeliest
+// replacements, as in hnswlib's updatePoint. Links to the moved node
+// from anywhere else are not known here and are left to the shrinks of
+// later inserts.
+func (ix *Index) relinkAbandoned(slot int32, prev, chosen []int32, l, maxConn int) {
+	for _, o := range prev {
+		if slices.Contains(chosen, o) || !slices.Contains(ix.nodes[o].neighbors[l], slot) {
+			continue
+		}
+		pool := slices.Clone(ix.nodes[o].neighbors[l])
+		for _, p := range prev {
+			if p != o && !slices.Contains(pool, p) {
+				pool = append(pool, p)
+			}
+		}
+		ix.nodes[o].neighbors[l] = ix.selectNeighbors(ix.candidatesFrom(o, pool), maxConn)
+	}
+}
+
+// candidatesFrom scores slots against base exactly, ascending.
+func (ix *Index) candidatesFrom(base int32, slots []int32) []candidate {
+	cands := make([]candidate, len(slots))
+	for i, s := range slots {
+		cands[i] = candidate{s, ix.distNodes(base, s)}
+	}
+	slices.SortFunc(cands, byDist)
+	return cands
 }
 
 // Clone returns an index that answers queries identically and evolves
-// independently from the original: inserts and deletes on either side
-// are invisible to the other. The copy is structural, not a rebuild —
-// node vectors and per-layer adjacency slices are shared (safe because
-// Insert never mutates an existing adjacency slice in place, see the
-// copy-append above, and a node's vector is immutable once linked), so
-// cloning costs O(nodes) header copies plus the slot map. The level RNG
-// is replayed one draw per historical insert, exactly as Read does, so
-// post-clone inserts assign the same levels on both sides.
+// independently from the original: inserts, moves and deletes on either
+// side are invisible to the other. The copy is structural, not a rebuild.
+// Node vectors and per-layer adjacency slices are shared — safe because
+// neither side ever writes into one: links are updated by copy-append
+// (see addLink) and a moved node gets a fresh vector slice (see
+// setVector). What a writer does update in place is copied: the node
+// headers, each node's outer adjacency slice, the slot map and the SQ8
+// code arrays. So cloning costs O(nodes) header copies plus one flat copy
+// of the codes. The level RNG is replayed one draw per slot, exactly as
+// Read does, so post-clone inserts assign the same levels on both sides.
 //
 // Clone is how the serving layer gets a mutable successor of an index
 // frozen into a published read view: the writer clones, mutates the
@@ -445,16 +610,10 @@ func (ix *Index) Clone() *Index {
 		levelMult: ix.levelMult,
 		rng:       rand.New(rand.NewSource(ix.params.Seed)),
 		deleted:   ix.deleted,
-		// The codebook is immutable and the per-node SQ8 codes are shared
-		// through the copied node headers (a code, like a vector, is never
-		// mutated once its node is linked), so quantization state rides
-		// along copy-on-write for free. The flat views are cloned at exact
-		// length: a subsequent Insert on either side reallocates privately
-		// instead of writing into backing memory the other still reads.
-		quant:  ix.quant,
-		rerank: ix.rerank,
-		qflat:  slices.Clone(ix.qflat),
-		qcorr:  slices.Clone(ix.qcorr),
+		quant:     ix.quant, // immutable once trained
+		rerank:    ix.rerank,
+		qflat:     slices.Clone(ix.qflat),
+		qcorr:     slices.Clone(ix.qcorr),
 	}
 	copy(cp.nodes, ix.nodes)
 	for i := range cp.nodes {
@@ -526,13 +685,14 @@ func (ix *Index) greedyClosest(sc *searchScratch, ep int32, l int) int32 {
 	steps := 0
 	if sc.useQ {
 		qcode, qscale := sc.qcode, sc.qscale
+		flat, corr, dim := ix.qflat, ix.qcorr, ix.dim
 		best, bestD := ep, ix.distQ(sc, ep)
 		for improved := true; improved; {
 			improved = false
 			steps++
 			for _, nb := range ix.nodes[best].neighbors[l] {
-				nd := &ix.nodes[nb]
-				if d := 1 - float64(quant.Dot8(qcode, nd.code))*qscale*nd.corr; d < bestD {
+				n := int(nb)
+				if d := 1 - float64(quant.Dot8(qcode, flat[n*dim:(n+1)*dim]))*qscale*corr[n]; d < bestD {
 					best, bestD = nb, d
 					improved = true
 				}
@@ -577,6 +737,14 @@ func (ix *Index) greedyClosest(sc *searchScratch, ep int32, l int) int32 {
 // Tombstoned nodes are traversed and returned; callers filter them. The
 // returned slice aliases sc and is valid until the scratch's next use.
 func (ix *Index) searchLayer(sc *searchScratch, ep int32, ef, l int) []candidate {
+	out := ix.beam(sc, ep, ef, l)
+	slices.SortFunc(out, byDist)
+	return out
+}
+
+// beam is searchLayer before the sort: the same candidates in heap order,
+// for the caller that is going to re-score them anyway (linkCandidates).
+func (ix *Index) beam(sc *searchScratch, ep int32, ef, l int) []candidate {
 	d0 := ix.dist(sc, ep)
 	sc.visited.visit(ep)
 	cands := candHeap{data: sc.cands[:0], min: true}
@@ -593,6 +761,7 @@ func (ix *Index) searchLayer(sc *searchScratch, ep int32, ef, l int) []candidate
 	pops := 0
 	if sc.useQ {
 		qcode, qscale := sc.qcode, sc.qscale
+		flat, corr, dim := ix.qflat, ix.qcorr, ix.dim
 		for cands.len() > 0 {
 			c := cands.pop()
 			pops++
@@ -603,8 +772,8 @@ func (ix *Index) searchLayer(sc *searchScratch, ep int32, ef, l int) []candidate
 				if !sc.visited.visit(nb) {
 					continue
 				}
-				nd := &ix.nodes[nb]
-				d := 1 - float64(quant.Dot8(qcode, nd.code))*qscale*nd.corr
+				n := int(nb)
+				d := 1 - float64(quant.Dot8(qcode, flat[n*dim:(n+1)*dim]))*qscale*corr[n]
 				if results.len() < ef || d < results.top().dist {
 					cands.push(candidate{nb, d})
 					results.push(candidate{nb, d})
@@ -662,17 +831,7 @@ func (ix *Index) searchLayer(sc *searchScratch, ep int32, ef, l int) []candidate
 	// reuses their capacity.
 	sc.cands = cands.data
 	sc.results = results.data
-	out := results.data
-	slices.SortFunc(out, func(a, b candidate) int {
-		if a.dist < b.dist {
-			return -1
-		}
-		if a.dist > b.dist {
-			return 1
-		}
-		return 0
-	})
-	return out
+	return results.data
 }
 
 // selectNeighbors is the heuristic of Algorithm 4: a candidate is kept
@@ -715,24 +874,57 @@ func (ix *Index) selectNeighbors(cands []candidate, m int) []int32 {
 	return chosen
 }
 
-// shrink re-selects the neighbour list of slot on layer l down to maxConn
-// using the same diversity heuristic as insertion.
-func (ix *Index) shrink(slot int32, l, maxConn int) {
-	nbs := ix.nodes[slot].neighbors[l]
-	cands := make([]candidate, len(nbs))
-	for i, nb := range nbs {
-		cands[i] = candidate{nb, ix.distNodes(slot, nb)}
+// shrink cuts the neighbour list nbs of slot down to maxConn with the
+// same diversity heuristic as insertion — selectNeighbors over the list
+// sorted by distance — and returns the result as a fresh slice.
+//
+// A list that overflows by one link, which is every overflow addLink
+// produces, does not need the full selection. With backfill, selection
+// over m+1 candidates drops exactly one of them: the farthest candidate
+// the heuristic prunes, or the farthest of all when it prunes none. So
+// walk back from the far end until a pruned candidate turns up, deciding
+// each one lazily (see kept); far candidates are the likeliest to be
+// pruned, so the walk is usually short. The link set is the one the full
+// selection returns; only the order within the list differs.
+func (ix *Index) shrink(slot int32, nbs []int32, maxConn int) []int32 {
+	cands := ix.candidatesFrom(slot, nbs)
+	if len(cands) != maxConn+1 {
+		return ix.selectNeighbors(cands, maxConn)
 	}
-	slices.SortFunc(cands, func(a, b candidate) int {
-		if a.dist < b.dist {
-			return -1
+	memo := make([]int8, len(cands))
+	drop := maxConn
+	for j := maxConn; j > 0; j-- {
+		if !ix.kept(cands, memo, j) {
+			drop = j
+			break
 		}
-		if a.dist > b.dist {
-			return 1
+	}
+	out := make([]int32, 0, maxConn)
+	for j, c := range cands {
+		if j != drop {
+			out = append(out, c.slot)
 		}
-		return 0
-	})
-	ix.nodes[slot].neighbors[l] = ix.selectNeighbors(cands, maxConn)
+	}
+	return out
+}
+
+// kept reports whether selectNeighbors would keep cands[j] on its first
+// pass: no kept candidate before it is closer to it than the base node
+// is. memo caches decisions (0 unknown, 1 kept, -1 pruned). Whether an
+// earlier candidate was itself kept is only asked once that candidate
+// turns out to be close enough to matter, which is what saves the work.
+func (ix *Index) kept(cands []candidate, memo []int8, j int) bool {
+	if memo[j] != 0 {
+		return memo[j] > 0
+	}
+	memo[j] = 1
+	for i := 0; i < j; i++ {
+		if memo[i] >= 0 && ix.distNodes(cands[j].slot, cands[i].slot) < cands[j].dist && ix.kept(cands, memo, i) {
+			memo[j] = -1
+			break
+		}
+	}
+	return memo[j] > 0
 }
 
 // TopK returns the approximately k most cosine-similar live entries to

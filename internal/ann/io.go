@@ -17,9 +17,10 @@ import (
 // scoring, where the ~1e-7 rounding is far below the recall tolerance of
 // the approximate search itself.
 //
-// The level RNG is restored by replaying the draw count (one draw per
-// historical Insert), so inserts after a load assign the same levels the
-// original index would have.
+// The level RNG is restored by replaying the draw count — one draw per
+// slot, since only the insert that creates a slot draws and a move keeps
+// its level — so inserts after a load assign the same levels the original
+// index would have.
 
 const (
 	graphMagic   = "RANN"
@@ -193,8 +194,8 @@ func readIndex(r io.Reader, f32 bool) (*Index, error) {
 			entry, len(ix.nodes[entry].neighbors)-1, maxLevel)
 	}
 
-	// Replay the level generator: one draw per historical Insert (each
-	// appended exactly one node), so future inserts continue the sequence
+	// Replay the level generator: one draw per slot (a move re-links in
+	// its slot without drawing), so future inserts continue the sequence
 	// the original index would have produced.
 	ix.rng = rand.New(rand.NewSource(ix.params.Seed))
 	for i := 0; i < numNodes; i++ {

@@ -32,13 +32,13 @@ func queryVec(rng *rand.Rand, dim int) []float64 {
 	return q
 }
 
-// TestGraphRoundTrip serialises an index (including tombstones from
-// overwrites and deletes) and checks the loaded copy answers every query
-// with the same ids in the same order.
+// TestGraphRoundTrip serialises an index (including nodes moved in place
+// and tombstones from deletes) and checks the loaded copy answers every
+// query with the same ids in the same order.
 func TestGraphRoundTrip(t *testing.T) {
 	const n, dim = 500, 16
 	ix, vecs := buildIOIndex(t, n, dim)
-	// Overwrites and deletes so tombstones are exercised.
+	// Moves and deletes, so re-linked slots and tombstones are exercised.
 	for i := 0; i < 40; i++ {
 		if err := ix.Insert(i, vecs[(i+1)%n]); err != nil {
 			t.Fatal(err)

@@ -6,16 +6,19 @@ import (
 	"math"
 
 	"github.com/retrodb/retro/internal/quant"
+	"github.com/retrodb/retro/internal/vec"
 	"github.com/retrodb/retro/internal/wire"
 )
 
 // SQ8 candidate generation. A quantized index traverses on 1-byte codes
-// (see quant) and re-ranks the over-fetched candidate set exactly;
-// QuantizeSQ8 trains the codebook from the index's own unit-normalised
-// vectors, which are rows of the store matrix after normalisation.
+// (see quant) and re-ranks the over-fetched candidate set exactly. The
+// codebook is trained from unit-normalised vectors — rows of the store
+// matrix after normalisation — either up front from the rows a build is
+// about to insert (TrainSQ8, so the build itself links on the codes) or
+// from the nodes of an index that already exists (QuantizeSQ8).
 //
 // Quantization state follows the index's existing synchronisation rules:
-// QuantizeSQ8/DisableQuant/SetRerank mutate shared node state and need
+// TrainSQ8/QuantizeSQ8/DisableQuant/SetRerank mutate index state and need
 // the same external exclusion as Insert; queries on a quantized index
 // remain safe to run concurrently with each other.
 
@@ -28,6 +31,38 @@ import (
 // re-ranking and beam cost low; raise it per query path via SetRerank
 // when the data is adversarially uniform.
 const DefaultRerank = 3
+
+// TrainSQ8 quantizes a still-empty index ahead of its build: the codebook
+// is trained from the n rows about to be inserted, normalised and rounded
+// exactly as Insert will store them, so it equals the codebook QuantizeSQ8
+// would train once they are all in. Every Insert from here on encodes its
+// node and searches for its links on the codes, which is how the index
+// will be maintained for the rest of its life — a bulk build and the
+// incremental inserts after it construct links the same way. rerank is
+// the over-fetch factor (non-positive selects DefaultRerank). row(i) may
+// return a zero vector (contributing nothing) and may reuse one buffer
+// across calls. It panics on an index that already holds nodes.
+func (ix *Index) TrainSQ8(n int, row func(i int) []float64, rerank int) {
+	if len(ix.nodes) != 0 {
+		panic("ann: TrainSQ8 on a non-empty index (use QuantizeSQ8)")
+	}
+	unit := make([]float64, ix.dim)
+	cb := quant.Train(ix.dim, n, func(i int) []float64 {
+		r := row(i)
+		nrm := vec.Norm(r)
+		if nrm == 0 {
+			nrm = 1 // all components are zero already
+		}
+		for d, x := range r {
+			unit[d] = x / nrm
+			if ix.f32 {
+				unit[d] = float64(float32(unit[d]))
+			}
+		}
+		return unit
+	})
+	ix.installQuant(cb, rerank)
+}
 
 // QuantizeSQ8 trains a symmetric per-dimension SQ8 codebook over every
 // stored vector and encodes each node, switching traversal to the
@@ -51,27 +86,24 @@ func (ix *Index) installQuant(cb *quant.Codebook, rerank int) {
 	if rerank <= 0 {
 		rerank = DefaultRerank
 	}
-	// One slot-major backing array for every code (the batch walk
-	// computes code addresses from the slot alone, see Index.qflat), and
-	// fresh storage rather than reuse in place: a Clone may share the
-	// previous codes with concurrent readers.
-	flat := make([]int8, len(ix.nodes)*ix.dim)
-	corrs := make([]float64, len(ix.nodes))
-	for i := range ix.nodes {
-		nd := &ix.nodes[i]
-		code := flat[i*ix.dim : (i+1)*ix.dim : (i+1)*ix.dim]
-		if ix.f32 {
-			nd.corr = cb.Encode32(code, nd.vec32)
-		} else {
-			nd.corr = cb.Encode(code, nd.vec)
-		}
-		nd.code = code
-		corrs[i] = nd.corr
-	}
-	ix.qflat = flat
-	ix.qcorr = corrs
 	ix.quant = cb
 	ix.rerank = rerank
+	ix.qflat = make([]int8, len(ix.nodes)*ix.dim)
+	ix.qcorr = make([]float64, len(ix.nodes))
+	for i := range ix.nodes {
+		ix.qcorr[i] = ix.encode(ix.code(int32(i)), &ix.nodes[i])
+	}
+}
+
+// encode writes the SQ8 code of nd's stored vector into dst and returns
+// its correction. On an f32 index the code comes from the narrowed copy,
+// not the float64 unit vector it was rounded from, so it matches what a
+// retrain over the stored rows would emit.
+func (ix *Index) encode(dst []int8, nd *node) float64 {
+	if ix.f32 {
+		return ix.quant.Encode32(dst, nd.vec32)
+	}
+	return ix.quant.Encode(dst, nd.vec)
 }
 
 // DisableQuant drops the codebook and every node's code; traversal
@@ -81,10 +113,6 @@ func (ix *Index) DisableQuant() {
 	ix.rerank = 0
 	ix.qflat = nil
 	ix.qcorr = nil
-	for i := range ix.nodes {
-		ix.nodes[i].code = nil
-		ix.nodes[i].corr = 0
-	}
 }
 
 // Quantized reports whether the index traverses on SQ8 codes.
@@ -138,9 +166,8 @@ func (ix *Index) WriteQuantTo(w io.Writer) (int64, error) {
 	ww.U32(uint32(len(ix.nodes)))
 	buf := make([]byte, ix.dim)
 	for i := range ix.nodes {
-		nd := &ix.nodes[i]
-		ww.F64(nd.corr)
-		for d, c := range nd.code {
+		ww.F64(ix.qcorr[i])
+		for d, c := range ix.code(int32(i)) {
 			buf[d] = byte(c)
 		}
 		ww.Bytes(buf)
@@ -208,10 +235,6 @@ func (ix *Index) ReadQuantInto(r io.Reader) error {
 		for d, b := range buf {
 			code[d] = int8(b)
 		}
-	}
-	for i := range ix.nodes {
-		ix.nodes[i].code = flat[i*dim : (i+1)*dim : (i+1)*dim]
-		ix.nodes[i].corr = corrs[i]
 	}
 	ix.qflat = flat
 	ix.qcorr = corrs

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/retrodb/retro/internal/vec"
@@ -176,29 +177,70 @@ func TestQuantizedInsertDeleteMaintenance(t *testing.T) {
 	}
 }
 
+// TestQuantizedCloneSharesCodesSafely: a clone of a quantized index owns
+// its codes. Moving nodes on the clone re-encodes them in place, in slots
+// the two indexes have in common, and must leave the original's code
+// bytes, corrections, vectors, adjacency and answers bit-identical.
 func TestQuantizedCloneSharesCodesSafely(t *testing.T) {
-	ix, _, queries := quantWorld(t, 800, 16, 5)
-	ix.QuantizeSQ8(4)
-	before := ix.TopK(queries[0], 10, nil)
-	cp := ix.Clone()
-	if !cp.Quantized() || cp.Rerank() != ix.Rerank() {
-		t.Fatal("clone dropped quantization state")
-	}
-	// Mutating the clone must not change the original's answers.
-	v := make([]float64, 16)
-	v[0] = 1
-	for i := 0; i < 50; i++ {
-		if err := cp.Insert(10000+i, v); err != nil {
-			t.Fatal(err)
+	for _, f32 := range []bool{false, true} {
+		ix, vectors, queries := quantWorld(t, 800, 16, 5)
+		if f32 {
+			ix32 := New32(16, Params{})
+			for id, v := range vectors {
+				if err := ix32.Insert(id, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ix = ix32
 		}
-	}
-	after := ix.TopK(queries[0], 10, nil)
-	if len(before) != len(after) {
-		t.Fatalf("original changed: %d vs %d results", len(before), len(after))
-	}
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("original rank %d changed: %+v vs %+v", i, before[i], after[i])
+		ix.QuantizeSQ8(4)
+		before, state := snapshotTopK(ix, queries, 10), captureState(ix)
+		cp := ix.Clone()
+		if !cp.Quantized() || cp.Rerank() != ix.Rerank() {
+			t.Fatal("clone dropped quantization state")
+		}
+		if len(cp.qflat) > 0 && &cp.qflat[0] == &ix.qflat[0] {
+			t.Fatal("clone shares the original's code array")
+		}
+		if !sameResults(before, snapshotTopK(cp, queries, 10)) {
+			t.Fatal("clone answers differently from the original")
+		}
+		// Mutating the clone must not change the original: appended nodes,
+		// then moves near and far of nodes both sides hold.
+		v := make([]float64, 16)
+		v[0] = 1
+		for i := 0; i < 50; i++ {
+			if err := cp.Insert(10000+i, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(15))
+		for id := 0; id < 200; id++ {
+			to := nudged(rng, vectors[id], 1e-4)
+			if id%4 == 0 {
+				to = vectors[799-id]
+			}
+			if err := cp.Insert(id, to); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cp.Deleted() != 0 || len(cp.nodes) != 850 {
+			t.Fatalf("moves on the clone left %d tombstones and %d slots, want 0 and 850", cp.Deleted(), len(cp.nodes))
+		}
+		if !captureState(ix).equal(state) {
+			t.Fatalf("f32=%v: moves on a clone changed the original's codes, corrections, vectors or adjacency", f32)
+		}
+		if !sameResults(before, snapshotTopK(ix, queries, 10)) {
+			t.Fatalf("f32=%v: moves on a clone changed the original's answers", f32)
+		}
+		// The clone's own codes follow its moves.
+		want := make([]int8, 16)
+		for id := 0; id < 200; id++ {
+			slot := cp.slots[id]
+			corr := cp.encode(want, &cp.nodes[slot])
+			if !slices.Equal(cp.code(slot), want) || cp.qcorr[slot] != corr {
+				t.Fatalf("f32=%v: id %d moved but its code was not re-encoded", f32, id)
+			}
 		}
 	}
 }

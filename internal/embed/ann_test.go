@@ -188,3 +188,47 @@ func TestCloneCarriesANNConfig(t *testing.T) {
 		t.Fatal("clone did not inherit ANN threshold")
 	}
 }
+
+// TestOverwritesMoveInPlaceZeroingTombstones pins which store writes
+// tombstone: overwriting a vector — any number of times — moves its graph
+// node in place and never costs a rebuild, while a row written to zero is
+// deleted from the graph, and only those deletions can trigger the lazy
+// rebuild once they outnumber the live nodes.
+func TestOverwritesMoveInPlaceZeroingTombstones(t *testing.T) {
+	const n, dim = 300, 8
+	s := randomStore(n, dim, 9)
+	s.EnableANN(100, ann.Params{})
+	s.WarmANN()
+	built := s.ANNIndex()
+
+	rng := rand.New(rand.NewSource(10))
+	for round := 0; round < 3; round++ { // 3n overwrites: far more than live nodes
+		for id := 0; id < n; id++ {
+			v := make([]float64, dim)
+			for j := range v {
+				v[j] = rng.NormFloat64()
+			}
+			s.SetVector(id, v)
+		}
+	}
+	if idx := s.ANNIndex(); idx != built || idx.Deleted() != 0 || idx.Len() != n {
+		t.Fatalf("after %d overwrites: same index %v, %d tombstones, %d live; want the built index, 0 and %d",
+			3*n, idx == built, idx.Deleted(), idx.Len(), n)
+	}
+
+	zero := make([]float64, dim)
+	for id := 0; id < n/2; id++ {
+		s.SetVector(id, zero)
+	}
+	if idx := s.ANNIndex(); idx != built || idx.Deleted() != n/2 || idx.Len() != n/2 {
+		t.Fatalf("after zeroing half the rows: same index %v, %d tombstones, %d live", idx == built, idx.Deleted(), idx.Len())
+	}
+	s.SetVector(n/2, zero) // the dead now outnumber the living
+	if s.ANNIndex() != nil {
+		t.Fatal("index not marked for rebuild once tombstones outnumber live nodes")
+	}
+	s.WarmANN()
+	if idx := s.ANNIndex(); idx == nil || idx == built || idx.Deleted() != 0 || idx.Len() != n/2-1 {
+		t.Fatal("rebuild after deletions did not produce a fresh tombstone-free index over the non-zero rows")
+	}
+}

@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/retrodb/retro/internal/ann"
@@ -198,5 +199,43 @@ func TestAdoptANNSyncsQuantState(t *testing.T) {
 	fresh.WarmANN()
 	if !fresh.ANNIndex().Quantized() {
 		t.Fatal("reconcile stripped the adopted index's quantization")
+	}
+}
+
+// TestQuantizeFirstBuildTrainsSameCodebook: with SQ8 configured before the
+// index exists, ensureANN quantizes first and builds on the codes. The
+// codebook it trains from the store's rows must be the one a
+// build-then-quantize trains from the finished graph's nodes — zero rows,
+// which are never indexed, included — on both precisions.
+func TestQuantizeFirstBuildTrainsSameCodebook(t *testing.T) {
+	for _, p := range []Precision{F64, F32} {
+		first := NewStoreWithPrecision(16, p)
+		after := NewStoreWithPrecision(16, p)
+		src := randomStore(300, 16, 41)
+		src.Add("zero", make([]float64, 16)) // never indexed, must not disturb training
+		for id, w := range src.Words() {
+			first.Add(w, src.Vector(id))
+			after.Add(w, src.Vector(id))
+		}
+		first.EnableANN(100, ann.Params{})
+		first.EnableQuantization(QuantSQ8, 5)
+		first.WarmANN()
+
+		after.EnableANN(100, ann.Params{})
+		after.WarmANN()
+		after.EnableQuantization(QuantSQ8, 5)
+		after.WarmANN()
+
+		a, b := first.ANNIndex(), after.ANNIndex()
+		if !a.Quantized() || a.Rerank() != 5 || a.Len() != 300 {
+			t.Fatalf("%v: quantize-first build: quantized=%v rerank=%d len=%d", p, a.Quantized(), a.Rerank(), a.Len())
+		}
+		if !slices.Equal(a.Codebook().Scales(), b.Codebook().Scales()) {
+			t.Fatalf("%v: training before the build and after it produced different codebooks", p)
+		}
+		q := src.Vector(17)
+		if got, want := first.TopK(q, 5, nil), first.TopKExact(q, 5, nil); got[0].ID != want[0].ID {
+			t.Fatalf("%v: quantize-first index misses the top hit: %+v vs %+v", p, got[0], want[0])
+		}
 	}
 }

@@ -418,7 +418,7 @@ func (s *Store) Add(word string, vector []float64) int {
 // RefreshRow(id). The write path stages new values with their
 // provisional W0 vectors, repairs them, and only then registers the
 // final vector, instead of paying a beam-search insert for a vector the
-// repair is about to tombstone and replace. Until RefreshRow runs, the
+// repair is about to move. Until RefreshRow runs, the
 // row is invisible to a built ANN index and the norm cache is dropped
 // lazily, so the staging window must not overlap reads (the same
 // external synchronisation Add already requires).
@@ -536,8 +536,13 @@ func (s *Store) ensureNormCache() {
 	}
 }
 
-// annUpdate folds a single-row change into a built index: non-zero rows
-// are (re)inserted, zero rows removed (the exact scan skips them too).
+// annUpdate folds a single-row change into a built index. A non-zero row
+// is inserted, or — when the index already holds it — moved in place: it
+// keeps its graph slot and is re-linked at its new position (see
+// ann.Index.Insert), however small the move; the index has no threshold
+// to tune and a run of updates leaves no tombstones behind. A row that
+// became the zero vector is deleted (the exact scan skips it too), which
+// is the one way a store write tombstones a node.
 func (s *Store) annUpdate(id int) {
 	s.annMu.Lock()
 	defer s.annMu.Unlock()
@@ -552,15 +557,14 @@ func (s *Store) annUpdate(id int) {
 	}
 	r := s.widenRowLocked(id)
 	if vec.Norm(r) == 0 {
-		s.annIndex.Delete(id)
+		// Once the dead outnumber the living the graph wastes more
+		// traversal than a rebuild costs, and recall degrades (the query
+		// beam only widens so far) — rebuild lazily.
+		if s.annIndex.Delete(id) && s.annIndex.Deleted() > s.annIndex.Len() {
+			s.annStale = true
+		}
 	} else if err := s.annIndex.Insert(id, r); err != nil {
 		s.annStale = true // can't happen (dim checked, non-zero), but stay safe
-	}
-	// Every overwrite tombstones the old node. Once the dead outnumber the
-	// living the graph wastes more traversal than a rebuild costs, and
-	// recall degrades (the query beam only widens so far) — rebuild lazily.
-	if s.annIndex.Deleted() > s.annIndex.Len() {
-		s.annStale = true
 	}
 }
 
@@ -1107,6 +1111,13 @@ func (s *Store) ensureANN() *ann.Index {
 		idx = ann.New32(s.dim, s.annParams)
 	} else {
 		idx = ann.New(s.dim, s.annParams)
+	}
+	if s.quantMode == QuantSQ8 {
+		// Quantize first, then build: the codebook comes from the rows
+		// about to go in, so the build links every node through the
+		// quantized search the incremental inserts after it will use —
+		// boot, recovery and repair all construct the graph the same way.
+		idx.TrainSQ8(len(s.words), s.widenRowLocked, s.quantRerank)
 	}
 	for id := range s.words {
 		r := s.widenRowLocked(id)

@@ -45,6 +45,8 @@ type telemetry struct {
 	insertErrors     *obs.Counter
 	panics           *obs.Counter
 	repairDur        *obs.Histogram
+	repairSolve      *obs.Histogram // delta repairs only, see observeRepair
+	repairIndex      *obs.Histogram
 	repairNodes      *obs.Histogram
 	repairFailures   *obs.Counter
 	staleTransitions *obs.Counter
@@ -71,6 +73,18 @@ func (t *telemetry) noteStale(stale bool) bool {
 	}
 	t.staleSeen.Store(false)
 	return false
+}
+
+// observeRepair records one successful repair. The stage split exists
+// for incremental repairs only: a full re-solve rebuilds the store, so
+// there is no write-back stage to tell apart.
+func (t *telemetry) observeRepair(rep retro.RepairStats) {
+	t.repairDur.ObserveDuration(rep.Duration)
+	t.repairNodes.Observe(float64(rep.Touched))
+	if !rep.Full {
+		t.repairSolve.ObserveDuration(rep.Solve)
+		t.repairIndex.ObserveDuration(rep.Index)
+	}
 }
 
 // newTelemetry registers every server metric. Called once from New,
@@ -121,6 +135,13 @@ func newTelemetry(s *Server, cfg Config) *telemetry {
 		"Handler panics converted into the structured internal error.", "")
 	t.repairDur = reg.Histogram("retro_repair_duration_seconds",
 		"Embedding repair wall time per successful insert.", "", obs.DurationBuckets())
+	repairStage := func(name string) *obs.Histogram {
+		return reg.Histogram("retro_repair_stage_duration_seconds",
+			"Incremental repair wall time per stage: solve (delta extraction, problem growth, re-solve) and index (store, norm cache and ANN write-back).",
+			`stage="`+name+`"`, obs.DurationBuckets())
+	}
+	t.repairSolve = repairStage("solve")
+	t.repairIndex = repairStage("index")
 	t.repairNodes = reg.Histogram("retro_repair_nodes",
 		"Nodes re-solved per embedding repair.", "", obs.CountBuckets())
 	t.repairFailures = reg.Counter("retro_repair_failures_total",

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -66,6 +67,8 @@ func TestMetricsExpositionValid(t *testing.T) {
 		"retro_insert_rows_count 1",
 		"retro_inserts_total 1",
 		"retro_repair_duration_seconds_count 1",
+		`retro_repair_stage_duration_seconds_count{stage="solve"} 1`,
+		`retro_repair_stage_duration_seconds_count{stage="index"} 1`,
 		"retro_repair_nodes_count 1",
 		"retro_view_epoch 1",
 		"retro_view_swaps_total 1",
@@ -85,6 +88,21 @@ func TestMetricsExpositionValid(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+
+	// /v1/stats carries the same repair accounting: the two stages of the
+	// one incremental repair add up to its duration.
+	_, stats := get(t, h, "/v1/stats")
+	sess, _ := stats["session"].(map[string]any)
+	secs, _ := sess["repair_seconds"].(map[string]any)
+	total, _ := secs["total"].(float64)
+	solve, _ := secs["solve"].(float64)
+	index, _ := secs["index"].(float64)
+	if sess["repairs"] != float64(1) || solve <= 0 || index <= 0 || math.Abs(solve+index-total) > 1e-6 {
+		t.Fatalf("stats.session = %v, want 1 repair whose solve and index seconds are positive and sum to the total", sess)
+	}
+	if annStats, _ := stats["ann"].(map[string]any); annStats["built"] != true || annStats["tombstones"] != float64(0) {
+		t.Fatalf("stats.ann = %v, want a built index without tombstones", stats["ann"])
 	}
 }
 

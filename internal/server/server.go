@@ -879,8 +879,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	numValues := s.currentView().numValues
 	s.writeMu.Unlock()
 	if published {
-		t.repairDur.ObserveDuration(rep.Duration)
-		t.repairNodes.Observe(float64(rep.Touched))
+		t.observeRepair(rep)
 	}
 	if repairFailed {
 		t.repairFailures.Inc()
@@ -956,8 +955,7 @@ func (s *Server) ApplyReplicated(table string, rows [][]retro.Value) error {
 	}
 	s.writeMu.Unlock()
 	if err == nil {
-		t.repairDur.ObserveDuration(rep.Duration)
-		t.repairNodes.Observe(float64(rep.Touched))
+		t.observeRepair(rep)
 		if s.cache != nil {
 			s.cache.Purge()
 		}
@@ -1016,6 +1014,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if idx != nil {
 		p := idx.Params()
 		annStats["size"] = idx.Len()
+		// Updates re-link in place, so this stays 0 unless rows were zeroed.
+		annStats["tombstones"] = idx.Deleted()
 		annStats["max_level"] = idx.MaxLevel()
 		annStats["m"] = p.M
 		annStats["ef_construction"] = p.EfConstruction
@@ -1137,8 +1137,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"dim":            v.dim,
 		// stale means a repair failed after a commit: queries serve the
 		// last good vectors and the next write runs a full re-solve.
-		"session": map[string]any{"stale": s.session().Stale()},
-		"ann":     annStats,
+		// repair_seconds are running totals over the repairs counted (the
+		// sums of the retro_repair_*duration_seconds histograms; solve and
+		// index cover incremental repairs only), so two reads give the mean
+		// repair and its solve/index split over any window.
+		"session": map[string]any{
+			"stale":   s.session().Stale(),
+			"repairs": s.tel.repairDur.Count(),
+			"repair_seconds": map[string]any{
+				"total": s.tel.repairDur.Sum(),
+				"solve": s.tel.repairSolve.Sum(),
+				"index": s.tel.repairIndex.Sum(),
+			},
+		},
+		"ann": annStats,
 		// Resident payload breakdown of the serving store — what the
 		// precision mode (f32 vs f64) actually moves. Component bytes
 		// mirror the retro_store_bytes gauges.

@@ -309,8 +309,8 @@ func newSnapshotServer(t *testing.T) (trained *Server, resumed *Server, titles [
 // TestSnapshotBootedServer drives a server resumed from a snapshot
 // through the full endpoint surface and requires it to behave exactly
 // like the trained server it was cloned from: same neighbour payloads
-// (k-clamp included), a working LRU cache, and inserts that
-// tombstone/re-insert in the deserialised HNSW graph.
+// (k-clamp included), a working LRU cache, and inserts that re-link
+// repaired values in place in the deserialised HNSW graph.
 func TestSnapshotBootedServer(t *testing.T) {
 	trained, resumed, titles := newSnapshotServer(t)
 	ht, hs := trained.Handler(), resumed.Handler()
@@ -374,10 +374,10 @@ func TestSnapshotBootedServer(t *testing.T) {
 	}
 
 	// Insert after load: the deserialised HNSW graph is maintained in
-	// place (tombstone + re-insert), and the new value is immediately
-	// queryable. Exercise an overwrite too by inserting a row whose title
-	// reuses an existing one — the shared value vector is re-solved,
-	// which tombstones and re-inserts its node in the loaded graph.
+	// place, and the new value is immediately queryable. Exercise an
+	// overwrite too by inserting a row whose title reuses an existing one
+	// — the shared value vector is re-solved, which re-links its node in
+	// its slot of the loaded graph.
 	if resumed.session().Model().Store().ANNIndex() == nil {
 		t.Fatal("resumed server has no adopted index")
 	}

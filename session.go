@@ -103,9 +103,16 @@ type Session struct {
 // these as repair-duration and affected-node metrics.
 type RepairStats struct {
 	Duration time.Duration // wall time of the repair
-	Touched  int           // nodes re-solved (0 when the delta carried no values)
-	NewNodes int           // values added to the vocabulary by the pass
-	Full     bool          // true for a full re-solve, false for a delta repair
+	// Solve and Index split a delta repair's Duration in two: working out
+	// the new vectors (delta extraction, problem growth, staging the new
+	// rows, the incremental solve), then writing them back (store rows,
+	// norm cache, one ANN re-link per touched row). Both are zero for a
+	// full re-solve, which rebuilds the store instead of updating it.
+	Solve    time.Duration
+	Index    time.Duration
+	Touched  int  // nodes re-solved (0 when the delta carried no values)
+	NewNodes int  // values added to the vocabulary by the pass
+	Full     bool // true for a full re-solve, false for a delta repair
 }
 
 // LastRepair returns stats for the most recent repair or re-solve.
@@ -327,7 +334,8 @@ func (s *Session) repairDelta(table string, rowIDs []int) error {
 	}
 	if d.Empty() {
 		// Row carried no text values and no relations: nothing to repair.
-		s.lastRepair = RepairStats{Duration: time.Since(start)}
+		took := time.Since(start)
+		s.lastRepair = RepairStats{Duration: took, Solve: took}
 		return nil
 	}
 	rep, err := core.GrowProblem(m.prob, m.ex, m.tok, d)
@@ -340,7 +348,7 @@ func (s *Session) repairDelta(table string, rowIDs []int) error {
 	// shared matrix). Registration with the ANN index and norm cache is
 	// staged: every new node is in the repair's touched set, so the
 	// RefreshRow pass below indexes the FINAL vector once instead of
-	// beam-inserting the provisional W0 row only to tombstone it.
+	// beam-inserting the provisional W0 row only to move it.
 	store := m.store
 	// The repair below writes re-solved vectors straight into the store
 	// matrix. Detach it from any published Freeze snapshot first
@@ -362,11 +370,11 @@ func (s *Session) repairDelta(table string, rowIDs []int) error {
 	touched := core.AffectedNodesBudget(m.prob, rep.Seeds, s.Hops, s.RepairBudget)
 	m.prob.RefreshCentroids(touched)
 	core.UpdateIncremental(m.prob, w, touched, m.hp, s.cfg.Variant, core.IncrementalOptions{State: s.incState})
+	solved := time.Now()
 
 	// Fold the repaired rows into the store's derived state. When the
-	// repair covered most of the vocabulary, one index rebuild is cheaper
-	// than a tombstone + beam-search re-insert per value (which would
-	// trip the tombstone limit and force the rebuild anyway).
+	// repair covered most of the vocabulary, one index rebuild replaces a
+	// beam-search re-link per value.
 	if len(touched)*2 >= store.Len() {
 		store.InvalidateANN()
 	}
@@ -379,8 +387,11 @@ func (s *Session) repairDelta(table string, rowIDs []int) error {
 			store.RefreshRow(id)
 		}
 	}
+	done := time.Now()
 	s.lastRepair = RepairStats{
-		Duration: time.Since(start),
+		Duration: done.Sub(start),
+		Solve:    solved.Sub(start),
+		Index:    done.Sub(solved),
 		Touched:  len(touched),
 		NewNodes: len(rep.NewNodes),
 	}

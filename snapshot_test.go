@@ -200,9 +200,9 @@ func TestSnapshotAnalogyRoundTrip(t *testing.T) {
 }
 
 // TestResumeSession verifies the full serving path: a resumed session
-// keeps the deserialised index, supports incremental inserts (tombstone +
-// re-insert in the loaded HNSW graph), and tracks the equivalent
-// never-snapshotted session.
+// keeps the deserialised index, supports incremental inserts (repaired
+// values re-linked in place in the loaded HNSW graph), and tracks the
+// equivalent never-snapshotted session.
 func TestResumeSession(t *testing.T) {
 	_, sess := trainedWorld(t, 40)
 	raw := snapshotBytes(t, sess)
@@ -264,7 +264,7 @@ func TestResumeSession(t *testing.T) {
 		}
 	}
 	// The loaded graph was maintained in place, not rebuilt: the inserts
-	// above tombstoned/re-inserted within the deserialised index.
+	// above re-linked their repaired values within the deserialised index.
 	if resumed.Model().Store().ANNIndex() == nil {
 		t.Fatal("index discarded by post-resume inserts")
 	}
