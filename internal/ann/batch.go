@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"cmp"
 	"slices"
 	"time"
 	"unsafe"
@@ -10,10 +11,17 @@ import (
 	"github.com/retrodb/retro/internal/vec"
 )
 
-// This file is the batched query engine: TopKMany runs Q queries through
-// the graph together and returns, per query, exactly what a TopK call
-// would have — bit-identical results, proven by the property tests. The
-// speedup is entirely scheduling, in three places:
+// This file is the search engine: the one implementation of the HNSW walk
+// in this package. Everything that traverses the graph runs on the
+// per-query state machine below — a TopKMany batch, a single TopK (a
+// block of one, see TopKAppendStats) and the construction search behind
+// every Insert (link: a descent group of one, then a beamTurn loop on each
+// layer the node reaches). A query's result does not depend on what else
+// is in its block: per-query state — visited marks, both beam heaps, the
+// greedy-descent position — evolves in the same order under the same
+// kernels whatever is interleaved with it, which the property tests hold
+// bit for bit against a textbook traversal (reference_test.go). What the
+// engine adds to the textbook is scheduling, in three places:
 //
 //   - Upper-layer descent is coalesced: queries sitting at the same node
 //     share one adjacency load, and each neighbor's code is scored
@@ -21,23 +29,22 @@ import (
 //     operand is streamed from memory once per group instead of once
 //     per query.
 //
-//   - The layer-0 beam is interleaved: queries advance round-robin in
-//     blocks of batchBlock, and each expansion is split in two — the
-//     turn that pops a candidate gathers its unvisited neighbors and
-//     issues prefetches for their codes, and the *next* turn scores
-//     them. The other queries' arithmetic fills the DRAM latency the
-//     prefetches are hiding; a lone query has nothing to overlap that
-//     wait with, which is why this engine beats a loop of TopK calls
-//     even on one core.
+//   - The beam expands in two phases: the turn that pops a candidate
+//     gathers its unvisited neighbors and issues prefetches for their
+//     codes, and the query's *next* turn scores them. In a block, queries
+//     advance round-robin and the other queries' arithmetic fills the
+//     DRAM latency the prefetches are hiding. A lone query gains too: the
+//     gather puts every neighbor's miss in flight at once before the
+//     first is scored, where a loop that loads and scores one neighbor at
+//     a time pays the misses one after another.
 //
-//   - The exact re-rank prefetches the next candidate's float64 row
-//     (those rows live in a matrix far larger than cache) while the
-//     current one is being scored.
+//   - The exact re-rank prefetches the next candidate's row (those rows
+//     live in a matrix far larger than cache) while the current one is
+//     being scored.
 //
-// Per-query algorithm state — visited marks, both beam heaps, the
-// greedy-descent position — evolves exactly as it does in TopKAppend,
-// in the same order, under the same kernels, so ties, tombstone
-// widening and re-rank cut-offs all agree with the single-query path.
+// Query preparation (prepareQuery), beam sizing (beamSize) and beam
+// seeding (seedBeam) each have one home here, shared by queries and
+// construction.
 
 // batchBlock is the number of queries traversed together. Eight is
 // enough in-flight work to cover a DRAM miss (~10 dot products per
@@ -45,19 +52,19 @@ import (
 // enough to pool.
 const batchBlock = 8
 
-// batchQueryState is one query's slice of the block scratch: the same
-// pieces searchScratch carries for a single query, plus the descent
-// cursor and the two-phase expansion buffer.
+// batchQueryState is everything one traversal needs beyond the graph
+// itself: the prepared query, the visited marks, the descent cursor, the
+// two beam heaps and the two-phase expansion buffer.
 type batchQueryState struct {
 	visited visitedSet
 	q       []float64 // unit-normalised query
 	q32     []float32 // narrowed query (f32 index only)
-	qcode   []int8
+	qcode   []int8    // SQ8-encoded query (quantized index only)
 	qscale  float64
-	useQ    bool
+	useQ    bool // traversal scores on codes
 
-	cands   candHeap // layer-0 beam min-heap
-	results candHeap // layer-0 beam max-heap (bounded at ef)
+	cands   candHeap // beam min-heap
+	results candHeap // beam max-heap (bounded at ef)
 	pending []int32  // gathered, prefetched, not-yet-scored neighbors
 
 	cur  int32   // descent cursor: current closest slot
@@ -67,18 +74,25 @@ type batchQueryState struct {
 	active    bool // descent: still iterating rounds on this layer
 	searching bool // beam: not yet terminated
 
-	empty    bool // degenerate query: produce an empty result
-	qi       int  // index into the caller's queries slice
-	k        int
-	fetch    int
-	ef       int
+	empty bool // degenerate query: produce an empty result
+	qi    int  // index into the caller's queries slice
+	k     int
+	fetch int
+	ef    int
+
+	// pops and steps count candidate expansions (beam pops, descent
+	// rounds). They live in the state so the hot loops pay one integer add
+	// per expansion — no pointer chase, no atomic — and the telemetry layer
+	// reads them out only when a caller asked for stats.
 	pops     int
 	steps    int
 	reranked int
 }
 
-// batchScratch is everything one TopKMany block needs, pooled on the
-// index so steady-state batches allocate nothing.
+// batchScratch is everything one block needs, pooled on the index so a
+// steady-state query — single or batched — allocates nothing. The serving
+// read path runs thousands of these per second and a per-call make() for
+// each piece was pure GC pressure.
 type batchScratch struct {
 	states [batchBlock]batchQueryState
 	qcodes [][]int8 // descent group operands for Dot8Many
@@ -131,10 +145,21 @@ func (ix *Index) TopKManyAppend(queries [][]float64, ks []int, skip func(qi, id 
 // st is non-nil it is overwritten with the batch's aggregate stats —
 // hops, beam-scored nodes and re-ranked candidates summed over the
 // queries, wall time split into one walk and one re-rank figure per
-// batch, Quantized set if any query ran on codes.
+// batch, Quantized set if any query ran on codes. A nil st skips every
+// clock read.
+//
+// This is where every query enters the engine and the one place its
+// arguments are checked: a mismatched ks or a query of the wrong
+// dimension is a caller bug and panics before dst or the scratch pool
+// is touched.
 func (ix *Index) TopKManyAppendStats(queries [][]float64, ks []int, skip func(qi, id int) bool, dst [][]Result, st *SearchStats) [][]Result {
 	if len(queries) != len(ks) {
 		panic("ann: TopKMany ks length mismatch")
+	}
+	for _, q := range queries {
+		if len(q) != ix.dim {
+			panic("ann: TopK query dimension mismatch")
+		}
 	}
 	if st != nil {
 		*st = SearchStats{}
@@ -160,23 +185,122 @@ func (ix *Index) TopKManyAppendStats(queries [][]float64, ks []int, skip func(qi
 	return dst
 }
 
-// stateDist scores slot under the state's prepared query, with the same
-// kernels and operation order as the single-query dist/distQ/distX.
+// prepareQuery readies s to traverse under query/norm — the unit vector
+// of a query whose norm the caller has taken and found non-zero — and
+// puts its descent cursor on the entry point. On an f32 index the unit
+// query is narrowed once for the float32 exact kernel, and on a quantized
+// index it is SQ8-encoded for the code-domain kernel; on an unquantized
+// index — or for a degenerate query the codebook cannot represent — the
+// exact kernel stays active.
+func (ix *Index) prepareQuery(s *batchQueryState, query []float64, norm float64) {
+	if cap(s.q) < ix.dim {
+		s.q = make([]float64, ix.dim)
+	}
+	s.q = s.q[:ix.dim]
+	for i, x := range query {
+		s.q[i] = x / norm
+	}
+	if ix.f32 {
+		if cap(s.q32) < ix.dim {
+			s.q32 = make([]float32, ix.dim)
+		}
+		s.q32 = vec.Narrow(s.q32[:ix.dim], s.q)
+	}
+	s.useQ = false
+	if ix.quant != nil {
+		if cap(s.qcode) < ix.dim {
+			s.qcode = make([]int8, ix.dim)
+		}
+		s.qcode = s.qcode[:ix.dim]
+		s.qscale = ix.quant.EncodeQuery(s.qcode, s.q)
+		s.useQ = s.qscale > 0
+	}
+	if len(s.visited.marks) < len(ix.nodes) {
+		s.visited.marks = make([]bool, 2*len(ix.nodes))
+	}
+	s.cur = ix.entry
+	s.curD = ix.stateDist(s, ix.entry)
+	s.empty = false
+}
+
+// beamSize decides, for a query that wants k results, how many
+// candidates it takes from the layer-0 beam (fetch) and how wide that
+// beam runs (ef). onCodes says the traversal scores on SQ8 codes,
+// filtered that a skip callback will reject some of what it finds.
+func (ix *Index) beamSize(k int, onCodes, filtered bool) (fetch, ef int) {
+	// The quantized path over-fetches fetch = k*rerank candidates from
+	// the code-domain beam; each survivor is re-scored exactly by
+	// rerankState, and only then is the result cut back to k. Re-ranking
+	// is what keeps recall@10 at the exact path's level while the per-hop
+	// traversal cost drops to 1/8 of the float64 bytes.
+	fetch = k
+	ef = ix.params.EfSearch
+	if onCodes {
+		r := ix.rerank
+		if r < 1 {
+			r = DefaultRerank
+		}
+		fetch = k * r
+		if fetch > len(ix.slots) {
+			fetch = len(ix.slots)
+		}
+		// The exact re-rank restores true ordering among everything the
+		// beam surfaces, so the quantized stage only has to CONTAIN the
+		// true top k in its fetch window — it does not have to order it.
+		// That is a strictly easier job than the exact beam's, so ef
+		// contributes at half weight (floored at the fetch depth, and
+		// still raised by SetEfSearch like the exact path): fewer hops,
+		// same recall, which is where the quantized path's latency win
+		// comes from on top of the 8x-smaller per-hop reads.
+		ef /= 2
+	}
+	if ef < fetch {
+		ef = fetch
+	}
+	// Widen the beam when tombstones or a filter will eat results. Scale
+	// with the tombstone/live ratio (not just the fetch depth) so locally
+	// concentrated tombstones cannot crowd every live result out of the
+	// beam; the store-level rebuild trigger keeps deleted <= live,
+	// bounding this at one doubling.
+	if ix.deleted > 0 {
+		extra := min(ix.deleted, 2*fetch)
+		if live := len(ix.slots); live > 0 {
+			if prop := ef * ix.deleted / live; prop > extra {
+				extra = prop
+			}
+		}
+		ef += extra
+	}
+	if filtered {
+		ef += fetch
+	}
+	return fetch, ef
+}
+
+// stateDist scores slot under the state's prepared query: on the node's
+// 1-byte-per-dimension code when the traversal runs on codes — 8x less
+// memory traffic per hop than the float64 vector, an approximate cosine
+// reconstructed from the int32 dot (see package quant) — and by the
+// full-width dot product otherwise.
 func (ix *Index) stateDist(s *batchQueryState, slot int32) float64 {
 	if s.useQ {
 		return 1 - float64(quant.Dot8(s.qcode, ix.code(slot)))*s.qscale*ix.qcorr[slot]
 	}
-	nd := &ix.nodes[slot]
+	return 1 - ix.stateDot(s, slot)
+}
+
+// stateDot is the exact cosine of slot to the state's query. An f32
+// index halves the bytes per row and vec.Dot32 accumulates in float64.
+func (ix *Index) stateDot(s *batchQueryState, slot int32) float64 {
 	if ix.f32 {
-		return 1 - vec.Dot32(s.q32, nd.vec32)
+		return vec.Dot32(s.q32, ix.nodes[slot].vec32)
 	}
-	return 1 - vec.Dot(s.q, nd.vec)
+	return vec.Dot(s.q, ix.nodes[slot].vec)
 }
 
 func (ix *Index) runBatchBlock(bs *batchScratch, queries [][]float64, ks []int, skip func(qi, id int) bool, dst [][]Result, base, n int, st *SearchStats) {
-	// Per-query setup: the same validation, clamps and beam sizing as
-	// TopKAppendStats, applied per query so a batch of one is not a
-	// special case.
+	// Per-query setup: clamps, preparation and beam sizing are applied
+	// per query, so a block of one is not a special case.
 	for j := 0; j < n; j++ {
 		s := &bs.states[j]
 		qi := base + j
@@ -185,82 +309,20 @@ func (ix *Index) runBatchBlock(bs *batchScratch, queries [][]float64, ks []int, 
 		s.searching = false
 		s.pops, s.steps, s.reranked = 0, 0, 0
 		s.visited.reset()
-		query := queries[qi]
-		if len(query) != ix.dim {
-			// The scratch is simply not returned to the pool — a panic here
-			// is a caller bug, not a path that needs to stay allocation-free.
-			panic("ann: TopKMany query dimension mismatch")
-		}
 		k := ks[qi]
 		if k <= 0 || ix.entry < 0 {
 			continue
 		}
 		if k > len(ix.slots) {
-			k = len(ix.slots)
+			k = len(ix.slots) // bounds the result growth and the beam
 		}
-		qn := vec.Norm(query)
+		qn := vec.Norm(queries[qi])
 		if qn == 0 {
 			continue
 		}
-		if cap(s.q) < ix.dim {
-			s.q = make([]float64, ix.dim)
-		}
-		s.q = s.q[:ix.dim]
-		for i, x := range query {
-			s.q[i] = x / qn
-		}
-		if ix.f32 {
-			if cap(s.q32) < ix.dim {
-				s.q32 = make([]float32, ix.dim)
-			}
-			s.q32 = vec.Narrow(s.q32[:ix.dim], s.q)
-		}
-		s.useQ = false
-		if ix.quant != nil {
-			if cap(s.qcode) < ix.dim {
-				s.qcode = make([]int8, ix.dim)
-			}
-			s.qcode = s.qcode[:ix.dim]
-			s.qscale = ix.quant.EncodeQuery(s.qcode, s.q)
-			s.useQ = s.qscale > 0
-		}
-		// Beam sizing: identical formulas to the single-query path (see
-		// TopKAppendStats for the rationale behind each term).
-		fetch := k
-		ef := ix.params.EfSearch
-		if s.useQ {
-			r := ix.rerank
-			if r < 1 {
-				r = DefaultRerank
-			}
-			fetch = k * r
-			if fetch > len(ix.slots) {
-				fetch = len(ix.slots)
-			}
-			ef /= 2
-		}
-		if ef < fetch {
-			ef = fetch
-		}
-		if ix.deleted > 0 {
-			extra := min(ix.deleted, 2*fetch)
-			if live := len(ix.slots); live > 0 {
-				if prop := ef * ix.deleted / live; prop > extra {
-					extra = prop
-				}
-			}
-			ef += extra
-		}
-		if skip != nil {
-			ef += fetch
-		}
-		s.k, s.fetch, s.ef = k, fetch, ef
-		if len(s.visited.marks) < len(ix.nodes) {
-			s.visited.marks = make([]bool, 2*len(ix.nodes))
-		}
-		s.cur = ix.entry
-		s.curD = ix.stateDist(s, ix.entry)
-		s.empty = false
+		ix.prepareQuery(s, queries[qi], qn)
+		s.k = k
+		s.fetch, s.ef = ix.beamSize(k, s.useQ, skip != nil)
 	}
 
 	var walkStart time.Time
@@ -268,79 +330,18 @@ func (ix *Index) runBatchBlock(bs *batchScratch, queries [][]float64, ks []int, 
 		walkStart = time.Now()
 	}
 
-	// Coalesced greedy descent, one layer at a time. Queries whose round
-	// found no improvement settle; the rest regroup by their new cursor.
 	for l := ix.maxLevel; l > 0; l-- {
-		for j := 0; j < n; j++ {
-			bs.states[j].active = !bs.states[j].empty
-		}
-		for {
-			anyActive := false
-			for j := 0; j < n; j++ {
-				if bs.states[j].active {
-					bs.states[j].improved = false
-					anyActive = true
-				}
-			}
-			if !anyActive {
-				break
-			}
-			var grouped [batchBlock]bool
-			for j := 0; j < n; j++ {
-				s := &bs.states[j]
-				if !s.active || grouped[j] {
-					continue
-				}
-				slot := s.cur
-				nq, nx := 0, 0
-				for m := j; m < n; m++ {
-					t := &bs.states[m]
-					if !t.active || grouped[m] || t.cur != slot {
-						continue
-					}
-					grouped[m] = true
-					if t.useQ {
-						bs.qmem[nq] = t
-						nq++
-					} else {
-						bs.xmem[nx] = t
-						nx++
-					}
-				}
-				ix.descentGroup(bs, slot, l, nq, nx)
-			}
-			for j := 0; j < n; j++ {
-				s := &bs.states[j]
-				if !s.active {
-					continue
-				}
-				s.steps++
-				if !s.improved {
-					s.active = false
-				}
-			}
-		}
+		ix.descendLayer(bs, n, l)
 	}
 
 	// Interleaved layer-0 beam: seed every query at its descended entry,
 	// then advance round-robin until all terminate.
 	remaining := 0
 	for j := 0; j < n; j++ {
-		s := &bs.states[j]
-		if s.empty {
-			continue
+		if s := &bs.states[j]; !s.empty {
+			s.seedBeam(s.cur, s.curD)
+			remaining++
 		}
-		s.cands.data = s.cands.data[:0]
-		s.cands.min = true
-		s.results.data = s.results.data[:0]
-		s.results.min = false
-		s.pending = s.pending[:0]
-		s.visited.visit(s.cur)
-		seed := candidate{s.cur, s.curD}
-		s.cands.push(seed)
-		s.results.push(seed)
-		s.searching = true
-		remaining++
 	}
 	for remaining > 0 {
 		for j := 0; j < n; j++ {
@@ -348,7 +349,7 @@ func (ix *Index) runBatchBlock(bs *batchScratch, queries [][]float64, ks []int, 
 			if !s.searching {
 				continue
 			}
-			ix.beamTurn(s)
+			ix.beamTurn(s, 0)
 			if !s.searching {
 				remaining--
 			}
@@ -373,8 +374,6 @@ func (ix *Index) runBatchBlock(bs *batchScratch, queries [][]float64, ks []int, 
 		rerankStart = time.Now()
 	}
 
-	// Re-rank and order each query's beam output exactly as the
-	// single-query path does.
 	for j := 0; j < n; j++ {
 		s := &bs.states[j]
 		if s.empty {
@@ -391,11 +390,67 @@ func (ix *Index) runBatchBlock(bs *batchScratch, queries [][]float64, ks []int, 
 	}
 }
 
+// descendLayer is the coalesced greedy descent of the block's first n
+// states on layer l: each walks from its cursor to the locally closest
+// node to its query. Queries whose round found no improvement settle; the
+// rest regroup by their new cursor.
+func (ix *Index) descendLayer(bs *batchScratch, n, l int) {
+	for j := 0; j < n; j++ {
+		bs.states[j].active = !bs.states[j].empty
+	}
+	for {
+		anyActive := false
+		for j := 0; j < n; j++ {
+			if bs.states[j].active {
+				bs.states[j].improved = false
+				anyActive = true
+			}
+		}
+		if !anyActive {
+			return
+		}
+		var grouped [batchBlock]bool
+		for j := 0; j < n; j++ {
+			s := &bs.states[j]
+			if !s.active || grouped[j] {
+				continue
+			}
+			slot := s.cur
+			nq, nx := 0, 0
+			for m := j; m < n; m++ {
+				t := &bs.states[m]
+				if !t.active || grouped[m] || t.cur != slot {
+					continue
+				}
+				grouped[m] = true
+				if t.useQ {
+					bs.qmem[nq] = t
+					nq++
+				} else {
+					bs.xmem[nx] = t
+					nx++
+				}
+			}
+			ix.descentGroup(bs, slot, l, nq, nx)
+		}
+		for j := 0; j < n; j++ {
+			s := &bs.states[j]
+			if !s.active {
+				continue
+			}
+			s.steps++
+			if !s.improved {
+				s.active = false
+			}
+		}
+	}
+}
+
 // descentGroup runs one improvement round for every group member
 // against the neighbor list of slot on layer l. The list is the one the
 // members' round started at, so a member whose cursor advances mid-scan
-// still scans the remaining entries — exactly greedyClosest's running
-// minimum over a list bound at round start.
+// still scans the remaining entries: a running minimum over a list bound
+// at round start.
 func (ix *Index) descentGroup(bs *batchScratch, slot int32, l, nq, nx int) {
 	nbs := ix.nodes[slot].neighbors[l]
 	dim := ix.dim
@@ -421,38 +476,44 @@ func (ix *Index) descentGroup(bs *batchScratch, slot int32, l, nq, nx int) {
 				}
 			}
 		}
-		if ix.f32 {
-			for m := 0; m < nx; m++ {
-				s := bs.xmem[m]
-				if d := 1 - vec.Dot32(s.q32, ix.nodes[nb].vec32); d < s.curD {
-					s.cur, s.curD = nb, d
-					s.improved = true
-				}
-			}
-		} else {
-			for m := 0; m < nx; m++ {
-				s := bs.xmem[m]
-				if d := 1 - vec.Dot(s.q, ix.nodes[nb].vec); d < s.curD {
-					s.cur, s.curD = nb, d
-					s.improved = true
-				}
+		for m := 0; m < nx; m++ {
+			s := bs.xmem[m]
+			if d := 1 - ix.stateDot(s, nb); d < s.curD {
+				s.cur, s.curD = nb, d
+				s.improved = true
 			}
 		}
 	}
 }
 
-// beamTurn advances one query by one expansion, in two phases split
-// across turns: score the neighbors gathered (and prefetched) last
-// turn, then pop the next candidate and gather its unvisited neighbors.
-// Per query the operation order is exactly searchLayer's; only the
-// other queries' turns are spliced between gather and score, which is
-// what turns the prefetches into overlapped latency instead of stalls.
-func (ix *Index) beamTurn(s *batchQueryState) {
+// seedBeam starts a beam (of width s.ef) from slot ep, whose distance to
+// the query is d. The visited marks must be clear.
+func (s *batchQueryState) seedBeam(ep int32, d float64) {
+	s.cands = candHeap{data: s.cands.data[:0], min: true}
+	s.results = candHeap{data: s.results.data[:0]}
+	s.pending = s.pending[:0]
+	s.visited.visit(ep)
+	seed := candidate{ep, d}
+	s.cands.push(seed)
+	s.results.push(seed)
+	s.searching = true
+}
+
+// beamTurn advances one query's beam on layer l by one expansion, in two
+// phases split across turns: score the neighbors gathered (and
+// prefetched) last turn, then pop the next candidate and gather its
+// unvisited neighbors. Per query this is the beam search of the HNSW
+// paper (Algorithm 2), operation for operation; when s.searching drops,
+// s.results holds up to ef candidates in heap order, tombstoned nodes
+// included (callers filter them).
+func (ix *Index) beamTurn(s *batchQueryState, l int) {
 	if len(s.pending) > 0 {
 		if s.useQ {
 			ix.scorePendingQ(s)
 		} else {
-			ix.scorePendingX(s)
+			for _, nb := range s.pending {
+				s.beamPush(nb, 1-ix.stateDot(s, nb))
+			}
 		}
 		s.pending = s.pending[:0]
 	}
@@ -468,7 +529,7 @@ func (ix *Index) beamTurn(s *batchQueryState) {
 	}
 	useQ := s.useQ
 	dim := ix.dim
-	for _, nb := range ix.nodes[c.slot].neighbors[0] {
+	for _, nb := range ix.nodes[c.slot].neighbors[l] {
 		if !s.visited.visit(nb) {
 			continue
 		}
@@ -485,12 +546,8 @@ func (ix *Index) beamTurn(s *batchQueryState) {
 			// small enough to stay cache-resident on its own, and the
 			// extra issue cost measured as a net loss.
 			cpu.PrefetchRange(unsafe.Pointer(&ix.qflat[int(nb)*dim]), dim)
-		} else if ix.f32 {
-			nd := &ix.nodes[nb]
-			cpu.PrefetchRange(unsafe.Pointer(&nd.vec32[0]), 4*len(nd.vec32))
 		} else {
-			nd := &ix.nodes[nb]
-			cpu.PrefetchRange(unsafe.Pointer(&nd.vec[0]), 8*len(nd.vec))
+			ix.prefetchRow(nb)
 		}
 	}
 	// The next turn starts by popping the heap top and chasing its node
@@ -502,9 +559,9 @@ func (ix *Index) beamTurn(s *batchQueryState) {
 	}
 }
 
-// beamPush applies searchLayer's admission test for one scored
-// neighbor. It must run per neighbor, in gather order: an admitted
-// candidate tightens results.top() for the very next test.
+// beamPush applies the beam's admission test for one scored neighbor. It
+// must run per neighbor, in gather order: an admitted candidate tightens
+// results.top() for the very next test.
 func (s *batchQueryState) beamPush(nb int32, d float64) {
 	if s.results.len() < s.ef || d < s.results.top().dist {
 		c := candidate{nb, d}
@@ -536,23 +593,11 @@ func (ix *Index) scorePendingQ(s *batchQueryState) {
 	}
 }
 
-func (ix *Index) scorePendingX(s *batchQueryState) {
-	if ix.f32 {
-		for _, nb := range s.pending {
-			s.beamPush(nb, 1-vec.Dot32(s.q32, ix.nodes[nb].vec32))
-		}
-		return
-	}
-	for _, nb := range s.pending {
-		s.beamPush(nb, 1-vec.Dot(s.q, ix.nodes[nb].vec))
-	}
-}
-
 // rerankState turns one query's beam output into its final results:
-// ascending-distance candidate order, tombstone/skip filtering, exact
-// re-scoring on the quantized path with the next row prefetched, then
-// the descending-score/ascending-id sort and the cut to k — all
-// mirroring TopKAppendStats line for line.
+// ascending-distance candidate order, tombstone/skip filtering down to
+// the fetch depth, exact re-scoring on the quantized path — one
+// full-width dot per surviving candidate instead of one per traversal
+// hop — then the descending-score/ascending-id sort and the cut to k.
 func (ix *Index) rerankState(s *batchQueryState, skip func(qi, id int) bool, out []Result) []Result {
 	cands := s.results.data
 	slices.SortFunc(cands, byDist)
@@ -577,11 +622,7 @@ func (ix *Index) rerankState(s *batchQueryState, skip func(qi, id int) bool, out
 		}
 		score := 1 - c.dist
 		if s.useQ {
-			if ix.f32 {
-				score = vec.Dot32(s.q32, nd.vec32)
-			} else {
-				score = vec.Dot(s.q, nd.vec)
-			}
+			score = ix.stateDot(s, c.slot)
 			s.reranked++
 		}
 		out = append(out, Result{ID: nd.id, Score: score})
@@ -589,23 +630,20 @@ func (ix *Index) rerankState(s *batchQueryState, skip func(qi, id int) bool, out
 			break
 		}
 	}
-	slices.SortFunc(out, func(a, b Result) int {
-		if a.Score != b.Score {
-			if a.Score > b.Score {
-				return -1
-			}
-			return 1
-		}
-		if a.ID < b.ID {
-			return -1
-		}
-		if a.ID > b.ID {
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(out, byScore)
 	if len(out) > s.k {
 		out = out[:s.k]
 	}
 	return out
+}
+
+// byScore orders results by descending score, ties by ascending id.
+func byScore(a, b Result) int {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
 }

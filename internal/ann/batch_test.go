@@ -7,10 +7,12 @@ import (
 	"github.com/retrodb/retro/internal/cpu"
 )
 
-// assertBatchMatchesLoop asserts the core TopKMany contract: per query,
-// the batch result is BIT-IDENTICAL to the single-query call — same
-// ids, same float64 score bits, same order. Scheduling is the only
-// thing the batch engine is allowed to change.
+// assertBatchMatchesLoop asserts the engine's contract. Per query, the
+// result in a batch is BIT-IDENTICAL to the single-query call — same ids,
+// same float64 score bits, same order: a single query is a block of one,
+// so this says that what else shares a query's block changes nothing. And
+// that block of one equals the textbook traversal (reference_test.go), so
+// scheduling is the only thing the engine adds to it.
 func assertBatchMatchesLoop(t *testing.T, ix *Index, queries [][]float64, ks []int, skip func(qi, id int) bool) {
 	t.Helper()
 	got := ix.TopKManyAppend(queries, ks, skip, nil)
@@ -23,6 +25,7 @@ func assertBatchMatchesLoop(t *testing.T, ix *Index, queries [][]float64, ks []i
 			qi := qi
 			single = func(id int) bool { return skip(qi, id) }
 		}
+		assertMatchesReference(t, ix, queries[qi], ks[qi], single)
 		want := ix.TopK(queries[qi], ks[qi], single)
 		if len(got[qi]) != len(want) {
 			t.Fatalf("query %d: batch returned %d results, single %d", qi, len(got[qi]), len(want))
@@ -35,22 +38,30 @@ func assertBatchMatchesLoop(t *testing.T, ix *Index, queries [][]float64, ks []i
 	}
 }
 
-// batchParityIndexes builds the exact and quantized variants the parity
-// suite runs against.
+// batchParityIndexes builds the index flavours the parity suite runs
+// against: float64 and float32 rows, each exact and quantized.
 func batchParityIndexes(t *testing.T) map[string]*Index {
 	t.Helper()
 	vectors := randomVectors(900, 32, 41)
-	exact := buildIndex(t, vectors, Params{EfSearch: 48})
-	quantized := buildIndex(t, vectors, Params{EfSearch: 48})
-	quantized.QuantizeSQ8(3)
-	return map[string]*Index{"exact": exact, "quantized": quantized}
+	out := map[string]*Index{}
+	for prefix, mk := range map[string]func(int, Params) *Index{"": New, "f32-": New32} {
+		for _, name := range []string{"exact", "quantized"} {
+			ix := buildWorld(t, func(dim int, _ [][]float64) *Index { return mk(dim, Params{EfSearch: 48}) }, vectors)
+			if name == "quantized" {
+				ix.QuantizeSQ8(3)
+			}
+			out[prefix+name] = ix
+		}
+	}
+	return out
 }
 
-// TestTopKManyMatchesLoopedTopK is the property test of the batch
-// engine: over exact and quantized indexes and every kernel dispatch
-// level this CPU has, TopKMany(queries) == [TopK(q) for q in queries]
-// bit for bit — including the quantized path's re-rank ordering,
-// because the re-rank runs under the same dispatched float64 kernel.
+// TestTopKManyMatchesLoopedTopK is the property test of the engine on
+// freshly built graphs: over every index flavour and every kernel
+// dispatch level this CPU has, TopKMany(queries) == [TopK(q) for q in
+// queries] == [reference(q) for q in queries] bit for bit — including
+// the quantized path's re-rank ordering, because the re-rank runs under
+// the same dispatched float64 kernel.
 func TestTopKManyMatchesLoopedTopK(t *testing.T) {
 	indexes := batchParityIndexes(t)
 	queries := randomVectors(37, 32, 43) // crosses block boundaries: 37 = 4*8 + 5
@@ -211,6 +222,32 @@ func TestTopKManyKsMismatchPanics(t *testing.T) {
 		}
 	}()
 	ix.TopKManyAppend(randomVectors(2, 8, 73), []int{5}, nil, nil)
+}
+
+// TestTopKManyBadQueryPanicsBeforeAnswering: arguments are checked once,
+// on entry. A query of the wrong dimension in the third block must panic
+// before any earlier block is answered — dst keeps what it held.
+func TestTopKManyBadQueryPanicsBeforeAnswering(t *testing.T) {
+	ix := buildIndex(t, randomVectors(100, 8, 83), Params{})
+	queries := randomVectors(2*batchBlock+3, 8, 89)
+	queries[2*batchBlock+1] = queries[0][:7]
+	ks := make([]int, len(queries))
+	dst := make([][]Result, len(queries))
+	for i := range dst {
+		ks[i] = 3
+		dst[i] = []Result{{ID: -1 - i}}
+	}
+	defer func() {
+		if r := recover(); r != "ann: TopK query dimension mismatch" {
+			t.Fatalf("recovered %v, want the dimension-mismatch panic", r)
+		}
+		for i, rs := range dst {
+			if len(rs) != 1 || rs[0].ID != -1-i {
+				t.Fatalf("dst[%d] = %+v: a rejected batch wrote results", i, rs)
+			}
+		}
+	}()
+	ix.TopKManyAppend(queries, ks, nil, dst)
 }
 
 // TestTopKManyConcurrent: batches must be safe to run concurrently with

@@ -58,3 +58,18 @@ func BenchmarkANNRelink(b *testing.B) {
 		b.Fatalf("re-links left %d tombstones and %d slots for %d ids", ix.Deleted(), len(ix.nodes), benchN)
 	}
 }
+
+// BenchmarkANNTopKAppend is one uncached neighbour query — a block of one
+// on the search engine — against the same index, k = 10, results into a
+// caller-owned buffer.
+func BenchmarkANNTopKAppend(b *testing.B) {
+	vectors := clusteredVectors(benchN+256, benchDim, 7)
+	ix := benchBuild(b, vectors[:benchN])
+	queries := vectors[benchN:]
+	dst := make([]Result, 0, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = ix.TopKAppend(queries[i%len(queries)], 10, nil, dst)
+	}
+}

@@ -109,32 +109,18 @@ func int8Bytes(a []int8) []byte {
 }
 
 // Batch results on a float32 index must be bit-identical to the
-// single-query path, same as the float64 contract.
+// single-query path — and both to the reference traversal — same as the
+// float64 contract.
 func TestF32BatchMatchesSingle(t *testing.T) {
 	const n, dim, k = 400, 32, 8
 	for _, quantize := range []bool{false, true} {
 		_, ix := buildPairedIndexes(t, n, dim, DefaultParams(), quantize)
-		rng := rand.New(rand.NewSource(11))
-		queries := make([][]float64, 64)
-		for i := range queries {
-			q := make([]float64, dim)
-			for d := range q {
-				q[d] = rng.NormFloat64()
-			}
-			queries[i] = q
+		queries := randomVectors(64, dim, 11)
+		ks := make([]int, len(queries))
+		for i := range ks {
+			ks[i] = k
 		}
-		batch := ix.TopKMany(queries, k, nil)
-		for qi, q := range queries {
-			single := ix.TopK(q, k, nil)
-			if len(single) != len(batch[qi]) {
-				t.Fatalf("quantize=%v query %d: batch %d vs single %d results", quantize, qi, len(batch[qi]), len(single))
-			}
-			for i := range single {
-				if single[i] != batch[qi][i] {
-					t.Fatalf("quantize=%v query %d rank %d: batch %+v vs single %+v", quantize, qi, i, batch[qi][i], single[i])
-				}
-			}
-		}
+		assertBatchMatchesLoop(t, ix, queries, ks, nil)
 	}
 }
 

@@ -10,6 +10,14 @@
 // other; Insert and Delete require external synchronisation against both
 // queries and other writes.
 //
+// There is one implementation of the graph walk, the per-query state
+// machine in batch.go, and everything else is a client of it: TopKMany
+// runs queries through it in blocks, a single TopK is a block of one, and
+// Insert's construction search (link) drives one state layer by layer.
+// This file holds the graph itself — nodes, construction, neighbour
+// selection, Clone — and the single-query entry points; how deep a query
+// fetches and how wide its beam runs is decided in one place, beamSize.
+//
 // Updates keep slots stable. Insert of an id the index already holds moves
 // that node: it keeps its slot and level, takes the new vector (and code)
 // and is re-linked by the same routine that links a first insert — search
@@ -24,14 +32,12 @@
 package ann
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
 	"math"
 	"math/rand"
 	"slices"
 	"sync"
-	"time"
 	"unsafe"
 
 	"github.com/retrodb/retro/internal/cpu"
@@ -114,8 +120,7 @@ type Index struct {
 	levelMult float64
 	rng       *rand.Rand
 	deleted   int       // count of tombstoned slots
-	scratch   sync.Pool // *searchScratch, shared by concurrent queries
-	batchPool sync.Pool // *batchScratch, shared by concurrent TopKMany calls
+	batchPool sync.Pool // *batchScratch, shared by concurrent queries
 
 	// Quantized candidate generation (see quant.go): when quant is set,
 	// traversal scores hops against 1-byte-per-dimension SQ8 codes and
@@ -158,49 +163,6 @@ func (v *visitedSet) reset() {
 		v.marks[s] = false
 	}
 	v.touched = v.touched[:0]
-}
-
-// searchScratch is everything one traversal needs beyond the graph
-// itself: the visited marks, the normalised-query buffer and the two
-// candidate heaps. Pooling the whole bundle makes a steady-state query
-// allocation-free — the serving read path runs thousands of these per
-// second and a per-call make() for each piece was pure GC pressure.
-type searchScratch struct {
-	visited visitedSet
-	q       []float64
-	q32     []float32   // narrowed query, prepared only on an f32 index
-	cands   []candidate // min-heap storage, reused across calls
-	results []candidate // max-heap storage, reused across calls
-
-	// hops counts candidate expansions (beam pops and greedy steps)
-	// across the traversal; TopKAppendStats resets and reads it. The
-	// counter lives in the scratch so the hot loops pay one integer add
-	// per expansion — no pointer chase, no atomic — and the telemetry
-	// layer reads it out only when a caller asked for stats.
-	hops int
-
-	// Quantized-query state, prepared per traversal by prepareQueryCodes:
-	// the SQ8-encoded query, its scale and whether the code-domain kernel
-	// is active for this traversal.
-	qcode  []int8
-	qscale float64
-	useQ   bool
-}
-
-func (ix *Index) acquireScratch() *searchScratch {
-	sc, _ := ix.scratch.Get().(*searchScratch)
-	if sc == nil {
-		sc = &searchScratch{}
-	}
-	if len(sc.visited.marks) < len(ix.nodes) {
-		sc.visited.marks = make([]bool, 2*len(ix.nodes))
-	}
-	return sc
-}
-
-func (ix *Index) releaseScratch(sc *searchScratch) {
-	sc.visited.reset()
-	ix.scratch.Put(sc)
 }
 
 // New creates an empty index for vectors of the given dimensionality.
@@ -263,69 +225,11 @@ type candidate struct {
 	dist float64 // 1 - cosine
 }
 
-// prepareQueryCodes prepares the scratch's unit query (sc.q) for
-// traversal: on an f32 index it is narrowed once into sc.q32 for the
-// float32 exact kernel, and on a quantized index it is SQ8-encoded for
-// the code-domain traversal. On an unquantized index — or for a
-// degenerate query the codebook cannot represent — the exact kernel
-// stays active.
-func (ix *Index) prepareQueryCodes(sc *searchScratch) {
-	if ix.f32 {
-		if cap(sc.q32) < ix.dim {
-			sc.q32 = make([]float32, ix.dim)
-		}
-		sc.q32 = vec.Narrow(sc.q32[:ix.dim], sc.q)
-	}
-	sc.useQ = false
-	if ix.quant == nil {
-		return
-	}
-	if cap(sc.qcode) < ix.dim {
-		sc.qcode = make([]int8, ix.dim)
-	}
-	sc.qcode = sc.qcode[:ix.dim]
-	sc.qscale = ix.quant.EncodeQuery(sc.qcode, sc.q)
-	sc.useQ = sc.qscale > 0
-}
-
-// distQ and distX score slot against the scratch's prepared query. The
-// quantized kernel reads the node's 1-byte-per-dimension code — 8x less
-// memory traffic per hop than the float64 vector — and reconstructs an
-// approximate cosine from the int32 dot (see package quant); the exact
-// kernel is the full-width dot product. They are two functions instead
-// of one branching helper so each stays inside the inlining budget: the
-// traversal loops hoist the mode branch and inline the kernel, instead
-// of paying a call per hop.
-func (ix *Index) distQ(sc *searchScratch, slot int32) float64 {
-	return 1 - float64(quant.Dot8(sc.qcode, ix.code(slot)))*sc.qscale*ix.qcorr[slot]
-}
-
 // code returns slot's window of the flat code array (quantized index
 // only).
 func (ix *Index) code(slot int32) []int8 {
 	n := int(slot)
 	return ix.qflat[n*ix.dim : (n+1)*ix.dim]
-}
-
-func (ix *Index) distX(sc *searchScratch, slot int32) float64 {
-	return 1 - vec.Dot(sc.q, ix.nodes[slot].vec)
-}
-
-// distX32 is the exact kernel of an f32 index: the float32 rows halve
-// the bytes per hop and vec.Dot32 accumulates in float64. Like distQ it
-// is a separate function so the f64 loop bodies keep inlining distX.
-func (ix *Index) distX32(sc *searchScratch, slot int32) float64 {
-	return 1 - vec.Dot32(sc.q32, ix.nodes[slot].vec32)
-}
-
-func (ix *Index) dist(sc *searchScratch, slot int32) float64 {
-	if sc.useQ {
-		return ix.distQ(sc, slot)
-	}
-	if ix.f32 {
-		return ix.distX32(sc, slot)
-	}
-	return ix.distX(sc, slot)
 }
 
 // distNodes is the node-to-node distance used by neighbour selection
@@ -377,15 +281,10 @@ func (ix *Index) Insert(id int, v []float64) error {
 		}
 	}
 
-	sc := ix.acquireScratch()
-	defer ix.releaseScratch(sc)
-	if cap(sc.q) < ix.dim {
-		sc.q = make([]float64, ix.dim)
-	}
-	sc.q = sc.q[:ix.dim]
-	copy(sc.q, unit)
-	ix.prepareQueryCodes(sc)
-	ix.link(sc, slot, moved)
+	bs := ix.acquireBatchScratch()
+	ix.prepareQuery(&bs.states[0], v, n)
+	ix.link(bs, slot, moved)
+	ix.releaseBatchScratch(bs)
 	return nil
 }
 
@@ -418,14 +317,14 @@ func (ix *Index) setVector(slot int32, unit []float64) (moved float64) {
 	return moved
 }
 
-// link connects slot, whose vector is in place and prepared as the
-// scratch's query, to its neighbourhood. It is the one routine behind
-// every link in the graph — first insert and move alike:
+// link connects slot, whose vector is in place and prepared as the query
+// of the scratch's first state, to its neighbourhood. It is the one
+// routine behind every link in the graph — first insert and move alike:
 //
 //   - search on the serving kernel: the greedy descent and the
-//     EfConstruction beam run on whatever queries run on (SQ8 codes on a
-//     quantized index), so construction explores the graph the way the
-//     queries it serves will;
+//     EfConstruction beam run on the engine queries run on, under the
+//     kernel they run on (SQ8 codes on a quantized index), so construction
+//     explores the graph the way the queries it serves will;
 //   - select on exact distances: the beam's candidates are re-scored
 //     exactly before selectNeighbors sees them, because the diversity
 //     test compares a candidate's distance to the node with exact
@@ -448,17 +347,19 @@ func (ix *Index) setVector(slot int32, unit []float64) (moved float64) {
 // Beyond it the links describe a place the node has left: it starts over
 // from the selection, as a new node would, and the neighbours it left
 // behind are repaired (see relinkAbandoned).
-func (ix *Index) link(sc *searchScratch, slot int32, moved float64) {
+func (ix *Index) link(bs *batchScratch, slot int32, moved float64) {
+	s := &bs.states[0]
 	level := len(ix.nodes[slot].neighbors) - 1
-	ep := ix.entry
-	// Greedy descent through the layers above the node's level.
+	// Greedy descent through the layers above the node's level: a descent
+	// group of one.
 	for l := ix.maxLevel; l > level; l-- {
-		ep = ix.greedyClosest(sc, ep, l)
+		ix.descendLayer(bs, 1, l)
 	}
+	ep := s.cur
+	s.ef = ix.params.EfConstruction
 	// Link on each shared layer, widest candidate list first.
 	for l := min(level, ix.maxLevel); l >= 0; l-- {
-		sc.visited.reset()
-		cands := ix.linkCandidates(sc, slot, ep, l)
+		cands := ix.linkCandidates(s, slot, ep, l)
 		if len(cands) == 0 {
 			continue // alone on this layer
 		}
@@ -489,13 +390,19 @@ func (ix *Index) link(sc *searchScratch, slot int32, moved float64) {
 
 // linkCandidates runs the construction beam for slot on layer l from ep
 // and returns its candidates — slot itself excluded — under exact
-// distances, ascending. The slice aliases sc like searchLayer's.
-func (ix *Index) linkCandidates(sc *searchScratch, slot, ep int32, l int) []candidate {
-	cands := ix.beam(sc, ep, ix.params.EfConstruction, l)
+// distances, ascending. The slice aliases s and is valid until its next
+// beam.
+func (ix *Index) linkCandidates(s *batchQueryState, slot, ep int32, l int) []candidate {
+	s.visited.reset()
+	s.seedBeam(ep, ix.stateDist(s, ep))
+	for s.searching {
+		ix.beamTurn(s, l)
+	}
+	cands := s.results.data
 	if i := slices.IndexFunc(cands, func(c candidate) bool { return c.slot == slot }); i >= 0 {
 		cands = slices.Delete(cands, i, i+1)
 	}
-	if sc.useQ {
+	if s.useQ {
 		// The beam read codes; the rows it now needs are cold. Start on the
 		// row a few candidates ahead while scoring this one.
 		for i := range cands {
@@ -679,161 +586,6 @@ func (ix *Index) MemoryStats() MemoryStats {
 	return ms
 }
 
-// greedyClosest walks layer l from ep to the locally closest node to the
-// scratch's prepared query.
-func (ix *Index) greedyClosest(sc *searchScratch, ep int32, l int) int32 {
-	steps := 0
-	if sc.useQ {
-		qcode, qscale := sc.qcode, sc.qscale
-		flat, corr, dim := ix.qflat, ix.qcorr, ix.dim
-		best, bestD := ep, ix.distQ(sc, ep)
-		for improved := true; improved; {
-			improved = false
-			steps++
-			for _, nb := range ix.nodes[best].neighbors[l] {
-				n := int(nb)
-				if d := 1 - float64(quant.Dot8(qcode, flat[n*dim:(n+1)*dim]))*qscale*corr[n]; d < bestD {
-					best, bestD = nb, d
-					improved = true
-				}
-			}
-		}
-		sc.hops += steps
-		return best
-	}
-	if ix.f32 {
-		best, bestD := ep, ix.distX32(sc, ep)
-		for improved := true; improved; {
-			improved = false
-			steps++
-			for _, nb := range ix.nodes[best].neighbors[l] {
-				if d := ix.distX32(sc, nb); d < bestD {
-					best, bestD = nb, d
-					improved = true
-				}
-			}
-		}
-		sc.hops += steps
-		return best
-	}
-	best, bestD := ep, ix.distX(sc, ep)
-	for improved := true; improved; {
-		improved = false
-		steps++
-		for _, nb := range ix.nodes[best].neighbors[l] {
-			if d := ix.distX(sc, nb); d < bestD {
-				best, bestD = nb, d
-				improved = true
-			}
-		}
-	}
-	sc.hops += steps
-	return best
-}
-
-// searchLayer is the beam search of the HNSW paper (Algorithm 2): it
-// returns up to ef candidates on layer l, sorted by ascending distance
-// under the scratch's prepared query (quantized when the index is).
-// Tombstoned nodes are traversed and returned; callers filter them. The
-// returned slice aliases sc and is valid until the scratch's next use.
-func (ix *Index) searchLayer(sc *searchScratch, ep int32, ef, l int) []candidate {
-	out := ix.beam(sc, ep, ef, l)
-	slices.SortFunc(out, byDist)
-	return out
-}
-
-// beam is searchLayer before the sort: the same candidates in heap order,
-// for the caller that is going to re-score them anyway (linkCandidates).
-func (ix *Index) beam(sc *searchScratch, ep int32, ef, l int) []candidate {
-	d0 := ix.dist(sc, ep)
-	sc.visited.visit(ep)
-	cands := candHeap{data: sc.cands[:0], min: true}
-	results := candHeap{data: sc.results[:0], min: false}
-	cands.push(candidate{ep, d0})
-	results.push(candidate{ep, d0})
-	// One copy of the scan loop per kernel: the quantized body is
-	// written out (loop-invariant query code/scale hoisted, quant.Dot8
-	// inlined by the compiler) because a shared per-hop helper was too
-	// big to inline and its call frame showed up as ~15% of quantized
-	// query time. The exact bodies go through distX/distX32, which do
-	// inline; they stay separate loops so neither carries the other's
-	// representation branch per hop.
-	pops := 0
-	if sc.useQ {
-		qcode, qscale := sc.qcode, sc.qscale
-		flat, corr, dim := ix.qflat, ix.qcorr, ix.dim
-		for cands.len() > 0 {
-			c := cands.pop()
-			pops++
-			if results.len() >= ef && c.dist > results.top().dist {
-				break
-			}
-			for _, nb := range ix.nodes[c.slot].neighbors[l] {
-				if !sc.visited.visit(nb) {
-					continue
-				}
-				n := int(nb)
-				d := 1 - float64(quant.Dot8(qcode, flat[n*dim:(n+1)*dim]))*qscale*corr[n]
-				if results.len() < ef || d < results.top().dist {
-					cands.push(candidate{nb, d})
-					results.push(candidate{nb, d})
-					if results.len() > ef {
-						results.pop()
-					}
-				}
-			}
-		}
-	} else if ix.f32 {
-		for cands.len() > 0 {
-			c := cands.pop()
-			pops++
-			if results.len() >= ef && c.dist > results.top().dist {
-				break
-			}
-			for _, nb := range ix.nodes[c.slot].neighbors[l] {
-				if !sc.visited.visit(nb) {
-					continue
-				}
-				d := ix.distX32(sc, nb)
-				if results.len() < ef || d < results.top().dist {
-					cands.push(candidate{nb, d})
-					results.push(candidate{nb, d})
-					if results.len() > ef {
-						results.pop()
-					}
-				}
-			}
-		}
-	} else {
-		for cands.len() > 0 {
-			c := cands.pop()
-			pops++
-			if results.len() >= ef && c.dist > results.top().dist {
-				break
-			}
-			for _, nb := range ix.nodes[c.slot].neighbors[l] {
-				if !sc.visited.visit(nb) {
-					continue
-				}
-				d := ix.distX(sc, nb)
-				if results.len() < ef || d < results.top().dist {
-					cands.push(candidate{nb, d})
-					results.push(candidate{nb, d})
-					if results.len() > ef {
-						results.pop()
-					}
-				}
-			}
-		}
-	}
-	sc.hops += pops
-	// Hand the (possibly grown) buffers back so the next traversal
-	// reuses their capacity.
-	sc.cands = cands.data
-	sc.results = results.data
-	return results.data
-}
-
 // selectNeighbors is the heuristic of Algorithm 4: a candidate is kept
 // only if it is closer to the query than to every already-kept neighbour,
 // which spreads links across clusters; pruned candidates backfill any
@@ -965,141 +717,18 @@ func (ix *Index) TopKAppend(query []float64, k int, skip func(id int) bool, dst 
 
 // TopKAppendStats is TopKAppend with traversal telemetry: when st is
 // non-nil it is overwritten with this query's stats, including the
-// walk/re-rank timing split. A nil st skips every clock read, so the
-// stat-less path costs exactly what it did before this hook existed.
+// walk/re-rank timing split. A nil st skips every clock read.
+//
+// A single query is a batch of one: this wraps the arguments in
+// one-element arrays — on the stack, so the wrapper adds no allocation —
+// and runs TopKManyAppendStats.
 func (ix *Index) TopKAppendStats(query []float64, k int, skip func(id int) bool, dst []Result, st *SearchStats) []Result {
-	if len(query) != ix.dim {
-		panic("ann: TopK query dimension mismatch")
-	}
-	if st != nil {
-		*st = SearchStats{}
-	}
-	dst = dst[:0]
-	if k <= 0 || ix.entry < 0 {
-		return dst
-	}
-	if k > len(ix.slots) {
-		k = len(ix.slots) // bounds the result growth and the beam
-	}
-	qn := vec.Norm(query)
-	if qn == 0 {
-		return dst
-	}
-	sc := ix.acquireScratch()
-	sc.hops = 0
-	if cap(sc.q) < ix.dim {
-		sc.q = make([]float64, ix.dim)
-	}
-	sc.q = sc.q[:ix.dim]
-	q := sc.q
-	for i, x := range query {
-		q[i] = x / qn
-	}
-	ix.prepareQueryCodes(sc)
-
-	// The quantized path over-fetches fetch = k*rerank candidates from
-	// the code-domain beam; each survivor is re-scored exactly in float64
-	// below, and only then is the result cut back to k. Re-ranking is
-	// what keeps recall@10 at the exact path's level while the per-hop
-	// traversal cost drops to 1/8 of the float64 bytes.
-	fetch := k
-	ef := ix.params.EfSearch
-	if sc.useQ {
-		r := ix.rerank
-		if r < 1 {
-			r = DefaultRerank
-		}
-		fetch = k * r
-		if fetch > len(ix.slots) {
-			fetch = len(ix.slots)
-		}
-		// The exact re-rank restores true ordering among everything the
-		// beam surfaces, so the quantized stage only has to CONTAIN the
-		// true top k in its fetch window — it does not have to order it.
-		// That is a strictly easier job than the exact beam's, so ef
-		// contributes at half weight (floored at the fetch depth, and
-		// still raised by SetEfSearch like the exact path): fewer hops,
-		// same recall, which is where the quantized path's latency win
-		// comes from on top of the 8x-smaller per-hop reads.
-		ef /= 2
-	}
-	if ef < fetch {
-		ef = fetch
-	}
-	// Widen the beam when tombstones or a filter will eat results. Scale
-	// with the tombstone/live ratio (not just the fetch depth) so locally
-	// concentrated tombstones cannot crowd every live result out of the
-	// beam; the store-level rebuild trigger keeps deleted <= live,
-	// bounding this at one doubling.
-	if ix.deleted > 0 {
-		extra := min(ix.deleted, 2*fetch)
-		if live := len(ix.slots); live > 0 {
-			if prop := ef * ix.deleted / live; prop > extra {
-				extra = prop
-			}
-		}
-		ef += extra
-	}
+	queries, ks, out := [1][]float64{query}, [1]int{k}, [1][]Result{dst}
+	var skipMany func(qi, id int) bool
 	if skip != nil {
-		ef += fetch
+		skipMany = func(_, id int) bool { return skip(id) }
 	}
-	var walkStart time.Time
-	if st != nil {
-		walkStart = time.Now()
-	}
-	ep := ix.entry
-	for l := ix.maxLevel; l > 0; l-- {
-		ep = ix.greedyClosest(sc, ep, l)
-	}
-	cands := ix.searchLayer(sc, ep, ef, 0)
-	var rerankStart time.Time
-	if st != nil {
-		st.WalkNs = time.Since(walkStart).Nanoseconds()
-		st.Hops = sc.hops
-		st.Nodes = len(sc.visited.touched)
-		st.Quantized = sc.useQ
-		rerankStart = time.Now()
-	}
-	reranked := 0
-	for _, c := range cands {
-		nd := &ix.nodes[c.slot]
-		if nd.deleted || (skip != nil && skip(nd.id)) {
-			continue
-		}
-		score := 1 - c.dist
-		if sc.useQ {
-			// Exact re-scoring: one full-width dot per surviving candidate
-			// (fetch of them), instead of one per traversal hop.
-			if ix.f32 {
-				score = vec.Dot32(sc.q32, nd.vec32)
-			} else {
-				score = vec.Dot(q, nd.vec)
-			}
-			reranked++
-		}
-		dst = append(dst, Result{ID: nd.id, Score: score})
-		if len(dst) == fetch {
-			break
-		}
-	}
-	ix.releaseScratch(sc)
-	slices.SortFunc(dst, func(a, b Result) int {
-		if a.Score != b.Score {
-			if a.Score > b.Score {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-	if len(dst) > k {
-		dst = dst[:k]
-	}
-	if st != nil {
-		st.RerankNs = time.Since(rerankStart).Nanoseconds()
-		st.Reranked = reranked
-	}
-	return dst
+	return ix.TopKManyAppendStats(queries[:], ks[:], skipMany, out[:], st)[0]
 }
 
 // candHeap is a binary heap of candidates: min-ordered when min is true

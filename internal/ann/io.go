@@ -11,11 +11,14 @@ import (
 // Graph persistence. The layout captures the full build state — every
 // node (including tombstones, which still carry traversal load), the
 // per-layer adjacency, the entry point and the effective parameters — so
-// a deserialised index answers queries identically to the one that was
-// written, without re-running construction. Vectors are packed as
-// float32: they are unit-normalised copies used only for similarity
-// scoring, where the ~1e-7 rounding is far below the recall tolerance of
-// the approximate search itself.
+// a deserialised index walks the same graph as the one that was written,
+// without re-running construction. Vectors are packed as float32: they
+// are unit-normalised copies used only for similarity scoring, where the
+// ~1e-7 rounding is far below the recall tolerance of the approximate
+// search itself. A float32 index therefore answers queries identically
+// after a round trip; a float64 index comes back with its rows rounded to
+// float32, so its scores agree with the written index's to ~1e-7 and its
+// answers can differ across a near-tie.
 //
 // The level RNG is restored by replaying the draw count — one draw per
 // slot, since only the insert that creates a slot draws and a move keeps

@@ -2,7 +2,6 @@ package ann
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -363,37 +362,5 @@ func TestQuantSidecarRejectsMalformed(t *testing.T) {
 	plain, _, _ := quantWorld(t, 20, 8, 11)
 	if _, err := plain.WriteQuantTo(&bytes.Buffer{}); err == nil {
 		t.Fatal("WriteQuantTo succeeded on an unquantized index")
-	}
-}
-
-func BenchmarkDistQuantVsExact(b *testing.B) {
-	for _, dim := range []int{32, 300} {
-		ix, _, queries := quantWorld(b, 100, dim, 12)
-		sc := ix.acquireScratch()
-		defer ix.releaseScratch(sc)
-		if cap(sc.q) < dim {
-			sc.q = make([]float64, dim)
-		}
-		sc.q = sc.q[:dim]
-		qn := vec.Norm(queries[0])
-		for i, x := range queries[0] {
-			sc.q[i] = x / qn
-		}
-		b.Run(fmt.Sprintf("exact/dim=%d", dim), func(b *testing.B) {
-			sc.useQ = false
-			for i := 0; i < b.N; i++ {
-				_ = ix.dist(sc, int32(i%100))
-			}
-		})
-		ix.QuantizeSQ8(4)
-		ix.prepareQueryCodes(sc)
-		if !sc.useQ {
-			b.Fatal("quantized query preparation failed")
-		}
-		b.Run(fmt.Sprintf("sq8/dim=%d", dim), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = ix.dist(sc, int32(i%100))
-			}
-		})
 	}
 }

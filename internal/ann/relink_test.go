@@ -320,24 +320,18 @@ func TestQuantizedLinksSelectedOnExactDistances(t *testing.T) {
 		}
 		slot := probe.slots[id]
 		level := len(probe.nodes[slot].neighbors) - 1
-		u32 := vec.Narrow(make([]float32, dim), unitOf(vectors[id]))
 
-		sc := ix.acquireScratch()
-		sc.q = append(sc.q[:0], unitOf(vectors[id])...)
-		ix.prepareQueryCodes(sc)
-		if !sc.useQ {
+		// The candidates link saw, from the reference walk on the codes.
+		r := newReference(ix, unitOf(vectors[id]))
+		if !r.onCodes {
 			t.Fatal("query not quantized")
 		}
-		ep := ix.entry
-		for l := ix.maxLevel; l > level; l-- {
-			ep = ix.greedyClosest(sc, ep, l)
-		}
+		ep := r.descend(level)
 		for l := min(level, ix.maxLevel); l >= 0; l-- {
-			sc.visited.reset()
-			onCodes := slices.Clone(ix.beam(sc, ep, ix.params.EfConstruction, l))
+			onCodes := slices.Clone(r.beam(ep, ix.params.EfConstruction, l))
 			exact := slices.Clone(onCodes)
 			for i := range exact {
-				exact[i].dist = 1 - vec.Dot32(u32, ix.nodes[exact[i].slot].vec32)
+				exact[i].dist = 1 - r.cosine(exact[i].slot)
 			}
 			slices.SortFunc(exact, byDist)
 			want := ix.selectNeighbors(exact, ix.params.M)
@@ -350,7 +344,6 @@ func TestQuantizedLinksSelectedOnExactDistances(t *testing.T) {
 			}
 			ep = exact[0].slot
 		}
-		ix.releaseScratch(sc)
 		if err := ix.Insert(id, vectors[id]); err != nil {
 			t.Fatal(err)
 		}

@@ -13,6 +13,11 @@
 //	RETRO_SIMD=sse2    force the amd64 baseline kernels
 //	RETRO_SIMD=scalar  force the portable Go kernels everywhere
 //
+// Run capped tests with go test -count=1: the variable is read in init,
+// before the testing package starts logging environment reads, so the
+// test result cache does not key on it and a second cap would otherwise
+// be answered "(cached)" from the first.
+//
 // Levels are strictly ordered: a kernel compiled for a level is only
 // selected when the hardware (and the OS's saved-register state, for
 // AVX) supports it, so a misdetected machine degrades to a slower
