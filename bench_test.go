@@ -2,7 +2,8 @@ package retro
 
 // One testing.B benchmark per table and figure of the paper's evaluation
 // (run the full parameter sweeps with cmd/retro-bench), plus
-// micro-benchmarks of the core kernels and the DESIGN.md ablations.
+// micro-benchmarks of the core kernels and ablations of single design
+// choices.
 //
 //	go test -bench=. -benchmem
 
@@ -117,26 +118,9 @@ func BenchmarkRNIteration(b *testing.B) {
 	}
 }
 
-// BenchmarkRONegNaiveVsOptimized is the DESIGN.md ablation of the
-// eq. (15) complement optimisation: "naive" materialises Ẽ_r pair by
-// pair, "optimized" uses the shared target sum.
-func BenchmarkRONegNaiveVsOptimized(b *testing.B) {
-	p, _ := benchWorld(b, 100)
-	h := core.DefaultRO()
-	b.Run("optimized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.SolveRO(p, h, core.SolveOptions{})
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.SolveRO(p, h, core.SolveOptions{NaiveNegative: true})
-		}
-	})
-}
-
-// BenchmarkParallelSolve compares sequential and parallel RO solving
-// (results are bit-identical; see internal/core/parallel_test.go).
+// BenchmarkParallelSolve times the one RO driver at one worker and at
+// GOMAXPROCS (results are bit-identical; see TestSolveMatchesReference in
+// internal/core).
 func BenchmarkParallelSolve(b *testing.B) {
 	p, _ := benchWorld(b, 200)
 	h := core.DefaultRO()

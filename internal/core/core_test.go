@@ -133,14 +133,7 @@ func TestROMatchesPointwiseUpdate(t *testing.T) {
 	p := fig3Problem(t)
 	h := Hyperparams{Alpha: 2, Beta: 1, Gamma: 2, Delta: 1, Iterations: 1}
 	res := SolveRO(p, h, SolveOptions{})
-
-	w := deriveWeights(p, h)
-	want := vec.NewMatrix(p.N, p.Dim)
-	buf := make([]float64, p.Dim)
-	for i := 0; i < p.N; i++ {
-		roUpdateNode(p, w, p.W0, i, buf)
-		copy(want.Row(i), buf)
-	}
+	want := solveNaive(p, h, RO)
 	if !res.W.Equal(want, 1e-9) {
 		t.Fatalf("matrix iteration != pointwise eq.(8)\n got %v\nwant %v", res.W, want)
 	}
@@ -150,14 +143,7 @@ func TestRNMatchesPointwiseUpdate(t *testing.T) {
 	p := fig3Problem(t)
 	h := Hyperparams{Alpha: 1, Beta: 1, Gamma: 3, Delta: 1, Iterations: 1}
 	res := SolveRN(p, h, SolveOptions{})
-
-	w := deriveWeights(p, h)
-	want := vec.NewMatrix(p.N, p.Dim)
-	buf := make([]float64, p.Dim)
-	for i := 0; i < p.N; i++ {
-		rnUpdateNode(p, w, p.W0, i, buf)
-		copy(want.Row(i), buf)
-	}
+	want := solveNaive(p, h, RN)
 	if !res.W.Equal(want, 1e-9) {
 		t.Fatalf("RN matrix iteration != pointwise eq.(9)\n got %v\nwant %v", res.W, want)
 	}
@@ -167,8 +153,7 @@ func TestRONaiveNegativeEqualsOptimized(t *testing.T) {
 	p := fig3Problem(t)
 	h := Hyperparams{Alpha: 2, Beta: 1, Gamma: 2, Delta: 2, Iterations: 7}
 	opt := SolveRO(p, h, SolveOptions{})
-	naive := SolveRO(p, h, SolveOptions{NaiveNegative: true})
-	if !opt.W.Equal(naive.W, 1e-9) {
+	if !opt.W.Equal(solveNaive(p, h, RO), 1e-9) {
 		t.Fatal("eq.(15) optimisation changed RO results")
 	}
 }
@@ -432,8 +417,11 @@ func TestOOVNullVectorGetsMeaning(t *testing.T) {
 
 func TestSolveDispatch(t *testing.T) {
 	p := fig3Problem(t)
-	ro := Solve(p, DefaultRO(), RO, SolveOptions{})
-	rn := Solve(p, DefaultRN(), RN, SolveOptions{})
+	ro := Solve(p, DefaultRO(), RO, ParallelOptions{})
+	rn := Solve(p, DefaultRN(), RN, ParallelOptions{})
+	if !ro.W.Equal(SolveRO(p, DefaultRO(), SolveOptions{}).W, 0) || !rn.W.Equal(SolveRN(p, DefaultRN(), SolveOptions{}).W, 0) {
+		t.Fatal("Solve must run the variant it is given")
+	}
 	if ro.W.Equal(rn.W, 1e-9) {
 		t.Fatal("RO and RN should differ")
 	}

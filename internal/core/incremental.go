@@ -1,41 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/retrodb/retro/internal/vec"
 )
-
-// Variant selects a relational retrofitting solver.
-type Variant uint8
-
-const (
-	// RO is the optimisation-based solver (eq. 10).
-	RO Variant = iota
-	// RN is the series-based solver (eq. 11).
-	RN
-)
-
-func (v Variant) String() string {
-	switch v {
-	case RO:
-		return "RO"
-	case RN:
-		return "RN"
-	default:
-		return fmt.Sprintf("Variant(%d)", uint8(v))
-	}
-}
-
-// Solve dispatches to the selected solver.
-func Solve(p *Problem, h Hyperparams, variant Variant, opts SolveOptions) *Result {
-	switch variant {
-	case RN:
-		return SolveRN(p, h, opts)
-	default:
-		return SolveRO(p, h, opts)
-	}
-}
 
 // IncrementalState carries the cross-repair bookkeeping that makes a
 // local repair cost proportional to the dirty neighbourhood instead of
@@ -50,24 +17,15 @@ func Solve(p *Problem, h Hyperparams, variant Variant, opts SolveOptions) *Resul
 // W must go through UpdateIncremental (which keeps the sums in step). If
 // W is mutated behind the state's back, discard and rebuild it.
 type IncrementalState struct {
-	sums [][]float64 // per group: Σ over the group's target set of w rows
+	sums *vec.Matrix // row g: Σ over group g's target set of w rows
 }
 
 // NewIncrementalState computes the target sums from scratch: O(n·|R|)
 // membership checks plus O(dim) per membership. Done once per session,
 // not per insert.
 func NewIncrementalState(p *Problem, w *vec.Matrix) *IncrementalState {
-	st := &IncrementalState{sums: make([][]float64, len(p.Groups))}
-	for gi := range p.Groups {
-		sum := make([]float64, p.Dim)
-		g := &p.Groups[gi]
-		for k := 0; k < p.N; k++ {
-			if g.TargetSet[k] {
-				vec.Axpy(sum, 1, w.Row(k))
-			}
-		}
-		st.sums[gi] = sum
-	}
+	st := &IncrementalState{sums: vec.NewMatrix(len(p.Groups), p.Dim)}
+	targetSums(p, w, st.sums)
 	return st
 }
 
@@ -75,11 +33,9 @@ func NewIncrementalState(p *Problem, w *vec.Matrix) *IncrementalState {
 // every node that newly joined a target set contributes its current
 // vector. Call it after the new nodes' vectors are present in w.
 func (st *IncrementalState) Grow(p *Problem, w *vec.Matrix, rep *GrowthReport) {
-	for len(st.sums) < len(p.Groups) {
-		st.sums = append(st.sums, make([]float64, p.Dim))
-	}
+	st.sums.GrowRows(len(p.Groups))
 	for _, gn := range rep.NewTargets {
-		vec.Axpy(st.sums[gn.Group], 1, w.Row(gn.Node))
+		vec.Axpy(st.sums.Row(gn.Group), 1, w.Row(gn.Node))
 	}
 }
 
@@ -87,7 +43,7 @@ func (st *IncrementalState) Grow(p *Problem, w *vec.Matrix, rep *GrowthReport) {
 func (st *IncrementalState) apply(p *Problem, i int, diff []float64) {
 	for gi := range p.Groups {
 		if p.Groups[gi].TargetSet[i] {
-			vec.Axpy(st.sums[gi], 1, diff)
+			vec.Axpy(st.sums.Row(gi), 1, diff)
 		}
 	}
 }
@@ -144,12 +100,7 @@ func UpdateIncremental(p *Problem, w *vec.Matrix, dirty []int, h Hyperparams, va
 			if i < 0 || i >= p.N {
 				continue
 			}
-			switch variant {
-			case RN:
-				rnRepairNode(p, h, st, w, i, buf)
-			default:
-				roRepairNode(p, h, st, w, i, buf, scratch)
-			}
+			updateRow(p, h, variant, st.sums, w, i, buf, scratch)
 			row := w.Row(i)
 			move := 0.0
 			for j := range diff {
@@ -170,86 +121,6 @@ func UpdateIncremental(p *Problem, w *vec.Matrix, dirty []int, h Hyperparams, va
 		}
 	}
 	return opts.MaxIterations
-}
-
-// rnRepairNode is the pointwise eq. (9) update using maintained target
-// sums and on-the-fly eq. (12)/(14) coefficients, so one node costs
-// O(deg·dim + |R|·dim) instead of O(n·dim).
-func rnRepairNode(p *Problem, h Hyperparams, st *IncrementalState, from *vec.Matrix, i int, dst []float64) {
-	rt := float64(p.NumRelTypes[i] + 1)
-	vec.Zero(dst)
-	vec.Axpy(dst, h.Alpha, p.W0.Row(i))
-	if beta := h.Beta / rt; beta != 0 {
-		vec.Axpy(dst, beta, p.Centroids.Row(i))
-	}
-	for gi := range p.Groups {
-		g := &p.Groups[gi]
-		od := g.OutDeg(i)
-		if od == 0 {
-			continue
-		}
-		gamma := h.Gamma / (float64(od) * rt)
-		base, extra := g.TargetLists(i)
-		for _, j := range base {
-			vec.Axpy(dst, gamma, from.Row(int(j)))
-		}
-		for _, j := range extra {
-			vec.Axpy(dst, gamma, from.Row(int(j)))
-		}
-		if h.Delta != 0 && g.TargetCount > 0 {
-			vec.Axpy(dst, -h.Delta/(float64(g.TargetCount)*rt), st.sums[gi])
-		}
-	}
-	vec.Normalize(dst)
-}
-
-// roRepairNode is the pointwise eq. (8) update with the eq. (15)
-// complement trick over maintained target sums: the repulsion over
-// Ẽ_r(i) becomes sum(T_r) − sum(neighbours of i), so one node costs
-// O(deg·dim + |R|·dim) instead of O(n·dim). scratch must hold dim
-// floats.
-func roRepairNode(p *Problem, h Hyperparams, st *IncrementalState, from *vec.Matrix, i int, dst, scratch []float64) {
-	rt := float64(p.NumRelTypes[i] + 1)
-	beta := h.Beta / rt
-	vec.Zero(dst)
-	vec.Axpy(dst, h.Alpha, p.W0.Row(i))
-	if beta != 0 {
-		vec.Axpy(dst, beta, p.Centroids.Row(i))
-	}
-	denom := h.Alpha + beta
-	for gi := range p.Groups {
-		g := &p.Groups[gi]
-		od := g.OutDeg(i)
-		if od == 0 {
-			continue
-		}
-		gammaSelf := h.Gamma / (float64(od) * rt)
-		inv := &p.Groups[g.Inverse]
-		nbrSum := scratch
-		vec.Zero(nbrSum)
-		attract := func(j int) {
-			// γ^r̄_j: j is a target of g, hence a source of the inverse.
-			weight := gammaSelf + h.Gamma/(float64(inv.OutDeg(j))*float64(p.NumRelTypes[j]+1))
-			vec.Axpy(dst, weight, from.Row(j))
-			denom += weight
-			vec.Axpy(nbrSum, 1, from.Row(j))
-		}
-		base, extra := g.TargetLists(i)
-		for _, j := range base {
-			attract(int(j))
-		}
-		for _, j := range extra {
-			attract(int(j))
-		}
-		if dg := deltaRO(g, h); dg != 0 {
-			vec.Axpy(dst, -2*dg, st.sums[gi])
-			vec.Axpy(dst, 2*dg, nbrSum)
-			denom -= 2 * dg * float64(g.TargetCount-od)
-		}
-	}
-	if denom != 0 {
-		vec.Scale(dst, 1/denom)
-	}
 }
 
 // AffectedNodes expands a set of seed node ids to every node within

@@ -4,112 +4,39 @@ import (
 	"github.com/retrodb/retro/internal/vec"
 )
 
-// SolveRN runs the series-based iteration of eq. (9)/(11): the update
-// numerator attracts each node to its original vector, its column
-// centroid and its related nodes, repels it from the summed targets of
-// each of its relation groups (eq. 16 precomputes that sum once per group
-// per iteration), and the result is normalised to unit length — the
+// rnRow is the series-based row update of eq. (9)/(11): the numerator
+// attracts node i to its original vector, its column centroid and its
+// related nodes, repels it from the summed targets of each of its
+// relation groups (eq. 16: sums holds that vector, shared by all of a
+// group's sources), and the result is normalised to unit length — the
 // division in eq. (9) — which keeps the series bounded for any
-// hyperparameter setting.
-func SolveRN(p *Problem, h Hyperparams, opts SolveOptions) *Result {
-	h = h.withDefaults()
-	w := deriveWeights(p, h)
-
-	cur := p.W0.Clone()
-	next := vec.NewMatrix(p.N, p.Dim)
-	res := &Result{Iterations: h.Iterations}
-	sumT := make([]float64, p.Dim)
-
-	for iter := 0; iter < h.Iterations; iter++ {
-		for i := 0; i < p.N; i++ {
-			row := next.Row(i)
-			vec.Zero(row)
-			vec.Axpy(row, w.alpha[i], p.W0.Row(i))
-			if w.beta[i] != 0 {
-				vec.Axpy(row, w.beta[i], p.Centroids.Row(i))
-			}
-		}
-		for gi := range p.Groups {
-			g := &p.Groups[gi]
-			gamma := w.gamma[gi]
-			deltaRN := w.deltaRN[gi]
-
-			// Attraction: Σ_{j:(i,j)∈E_r} γ^r_i v_j.
-			for i := 0; i < p.N; i++ {
-				if g.OutDeg(i) == 0 {
-					continue
-				}
-				row := next.Row(i)
-				base, extra := g.TargetLists(i)
-				for _, j := range base {
-					vec.Axpy(row, gamma[i], cur.Row(int(j)))
-				}
-				for _, j := range extra {
-					vec.Axpy(row, gamma[i], cur.Row(int(j)))
-				}
-			}
-
-			// Repulsion (eq. 16): δ^r_i · Σ_{k:(*,k)∈E_r} v_k, the summed
-			// target vector being shared across all sources.
-			if h.Delta == 0 {
-				continue
-			}
-			vec.Zero(sumT)
-			for k := 0; k < p.N; k++ {
-				if g.TargetSet[k] {
-					vec.Axpy(sumT, 1, cur.Row(k))
-				}
-			}
-			for i := 0; i < p.N; i++ {
-				if deltaRN[i] != 0 {
-					vec.Axpy(next.Row(i), -deltaRN[i], sumT)
-				}
-			}
-		}
-
-		// Normalise rows (the D^{-1/2} of eq. 11); zero rows stay zero.
-		for i := 0; i < p.N; i++ {
-			vec.Normalize(next.Row(i))
-		}
-		cur, next = next, cur
-
-		if opts.TrackLoss {
-			res.LossHistory = append(res.LossHistory, Loss(p, h, cur))
-		}
-	}
-	res.W = cur
-	return res
-}
-
-// rnUpdateNode is the pointwise eq. (9) update for one node (before
-// normalisation the caller applies), used by tests and incremental
-// maintenance.
-func rnUpdateNode(p *Problem, w *weights, from *vec.Matrix, i int, dst []float64) {
+// hyperparameter setting; a zero row stays zero. The eq. (12)/(14)
+// coefficients are computed on the fly, so one row costs
+// O(deg·dim + |R|·dim) whether it is one of N in a full iteration or one
+// of a few in a repair.
+func rnRow(p *Problem, h Hyperparams, sums, from *vec.Matrix, i int, dst []float64) {
+	rt := float64(p.NumRelTypes[i] + 1)
 	vec.Zero(dst)
-	vec.Axpy(dst, w.alpha[i], p.W0.Row(i))
-	if w.beta[i] != 0 {
-		vec.Axpy(dst, w.beta[i], p.Centroids.Row(i))
+	vec.Axpy(dst, h.Alpha, p.W0.Row(i))
+	if beta := h.Beta / rt; beta != 0 {
+		vec.Axpy(dst, beta, p.Centroids.Row(i))
 	}
 	for gi := range p.Groups {
 		g := &p.Groups[gi]
-		if g.OutDeg(i) == 0 {
+		od := g.OutDeg(i)
+		if od == 0 {
 			continue
 		}
-		gamma := w.gamma[gi]
-		deltaRN := w.deltaRN[gi]
+		gamma := h.Gamma / (float64(od) * rt)
 		base, extra := g.TargetLists(i)
 		for _, j := range base {
-			vec.Axpy(dst, gamma[i], from.Row(int(j)))
+			vec.Axpy(dst, gamma, from.Row(int(j)))
 		}
 		for _, j := range extra {
-			vec.Axpy(dst, gamma[i], from.Row(int(j)))
+			vec.Axpy(dst, gamma, from.Row(int(j)))
 		}
-		if deltaRN[i] != 0 {
-			for t := 0; t < p.N; t++ {
-				if g.TargetSet[t] {
-					vec.Axpy(dst, -deltaRN[i], from.Row(t))
-				}
-			}
+		if h.Delta != 0 && g.TargetCount > 0 {
+			vec.Axpy(dst, -h.Delta/(float64(g.TargetCount)*rt), sums.Row(gi))
 		}
 	}
 	vec.Normalize(dst)

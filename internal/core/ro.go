@@ -4,208 +4,41 @@ import (
 	"github.com/retrodb/retro/internal/vec"
 )
 
-// Result carries a solved embedding matrix plus optional diagnostics.
-type Result struct {
-	// W holds the retrofitted vectors, row i for text value i.
-	W *vec.Matrix
-	// LossHistory holds Ψ(W) after every iteration when loss tracking is
-	// enabled (nil otherwise).
-	LossHistory []float64
-	Iterations  int
-}
-
-// SolveOptions tunes solver execution.
-type SolveOptions struct {
-	// TrackLoss evaluates Ψ(W) after every iteration (costs one extra
-	// pass; used by tests and the convergence experiments).
-	TrackLoss bool
-	// NaiveNegative disables the eq. (15) complement optimisation in the
-	// RO solver and materialises Ẽ_r pair by pair. Used by the ablation
-	// benchmark; results are identical.
-	NaiveNegative bool
-}
-
-// SolveRO minimises Ψ (eq. 4) with the matrix iteration of eq. (10).
+// roRow is the optimisation-based row update of eq. (8)/(10).
 //
 // The set R of the paper contains every directed group and its inverse;
 // for group r the positive term is ((γ^r_ij) + (γ^r̄_ij)^T)·W, which on
 // row i sums (γ^r_i + γ^r̄_j)·v_j over outgoing edges (i,j). The negative
 // term runs over the complement Ẽ_r = S_r × T_r \ E_r and is computed via
-// the eq. (15) trick: one shared Σ_{k∈T_r} v_k per group, minus each
-// node's actual neighbour sum.
-func SolveRO(p *Problem, h Hyperparams, opts SolveOptions) *Result {
-	h = h.withDefaults()
-	w := deriveWeights(p, h)
-
-	// The diagonal D of eq. (10) is iteration-independent.
-	d := make([]float64, p.N)
-	for i := 0; i < p.N; i++ {
-		d[i] = w.alpha[i] + w.beta[i]
-	}
-	for gi := range p.Groups {
-		g := &p.Groups[gi]
-		gammaSelf := w.gamma[gi]
-		gammaInv := w.gamma[g.Inverse]
-		dg := w.deltaRO[gi]
-		for i := 0; i < p.N; i++ {
-			od := g.OutDeg(i)
-			if od == 0 {
-				continue
-			}
-			base, extra := g.TargetLists(i)
-			for _, j := range base {
-				d[i] += gammaSelf[i] + gammaInv[int(j)]
-			}
-			for _, j := range extra {
-				d[i] += gammaSelf[i] + gammaInv[int(j)]
-			}
-			// Σ_{k:(i,k)∈Ẽ_r} (δ^r_i + δ^r̄_k) = 2·d_g·(|T_r| − od_r(i)).
-			d[i] -= 2 * dg * float64(g.TargetCount-od)
-		}
-	}
-
-	cur := p.W0.Clone()
-	next := vec.NewMatrix(p.N, p.Dim)
-	res := &Result{Iterations: h.Iterations}
-	sumT := make([]float64, p.Dim)
-	nbrSum := make([]float64, p.Dim)
-
-	for iter := 0; iter < h.Iterations; iter++ {
-		// W' = α∘W0 + β∘c.
-		for i := 0; i < p.N; i++ {
-			row := next.Row(i)
-			vec.Zero(row)
-			vec.Axpy(row, w.alpha[i], p.W0.Row(i))
-			if w.beta[i] != 0 {
-				vec.Axpy(row, w.beta[i], p.Centroids.Row(i))
-			}
-		}
-		for gi := range p.Groups {
-			g := &p.Groups[gi]
-			gammaSelf := w.gamma[gi]
-			gammaInv := w.gamma[g.Inverse]
-			dg := w.deltaRO[gi]
-
-			// Positive relational attraction.
-			for i := 0; i < p.N; i++ {
-				if g.OutDeg(i) == 0 {
-					continue
-				}
-				row := next.Row(i)
-				base, extra := g.TargetLists(i)
-				for _, j32 := range base {
-					j := int(j32)
-					vec.Axpy(row, gammaSelf[i]+gammaInv[j], cur.Row(j))
-				}
-				for _, j32 := range extra {
-					j := int(j32)
-					vec.Axpy(row, gammaSelf[i]+gammaInv[j], cur.Row(j))
-				}
-			}
-
-			// Negative repulsion over Ẽ_r.
-			if dg == 0 {
-				continue
-			}
-			if opts.NaiveNegative {
-				roNegativeNaive(p, g, dg, cur, next)
-				continue
-			}
-			// eq. (15): shared target sum minus per-node neighbour sum.
-			vec.Zero(sumT)
-			for k := 0; k < p.N; k++ {
-				if g.TargetSet[k] {
-					vec.Axpy(sumT, 1, cur.Row(k))
-				}
-			}
-			for i := 0; i < p.N; i++ {
-				if !g.SourceSet[i] {
-					continue
-				}
-				vec.Zero(nbrSum)
-				base, extra := g.TargetLists(i)
-				for _, j := range base {
-					vec.Axpy(nbrSum, 1, cur.Row(int(j)))
-				}
-				for _, j := range extra {
-					vec.Axpy(nbrSum, 1, cur.Row(int(j)))
-				}
-				row := next.Row(i)
-				// -(2·d_g)·(Σ_{k∈T} v_k − Σ_{k∈N(i)} v_k)
-				vec.Axpy(row, -2*dg, sumT)
-				vec.Axpy(row, 2*dg, nbrSum)
-			}
-		}
-
-		// W^{k+1} = D^{-1} W'.
-		for i := 0; i < p.N; i++ {
-			if d[i] != 0 {
-				vec.Scale(next.Row(i), 1/d[i])
-			}
-		}
-		cur, next = next, cur
-
-		if opts.TrackLoss {
-			res.LossHistory = append(res.LossHistory, Loss(p, h, cur))
-		}
-	}
-	res.W = cur
-	return res
-}
-
-// roNegativeNaive materialises Ẽ_r = S_r × T_r \ E_r pair by pair; the
-// reference implementation the eq. (15) optimisation is validated and
-// benchmarked against.
-func roNegativeNaive(p *Problem, g *Group, dg float64, cur, next *vec.Matrix) {
-	related := make(map[int]bool)
-	for i := 0; i < p.N; i++ {
-		if !g.SourceSet[i] {
-			continue
-		}
-		for k := range related {
-			delete(related, k)
-		}
-		base, extra := g.TargetLists(i)
-		for _, j := range base {
-			related[int(j)] = true
-		}
-		for _, j := range extra {
-			related[int(j)] = true
-		}
-		row := next.Row(i)
-		for t := 0; t < p.N; t++ {
-			if g.TargetSet[t] && !related[t] {
-				vec.Axpy(row, -2*dg, cur.Row(t))
-			}
-		}
-	}
-}
-
-// roUpdateNode is the pointwise eq. (8) update for a single node, used as
-// the reference implementation in tests (one Jacobi step over `from`,
-// writing into dst) and by incremental maintenance. It returns the
-// denominator it used.
-func roUpdateNode(p *Problem, w *weights, from *vec.Matrix, i int, dst []float64) float64 {
+// the eq. (15) trick: the shared Σ_{k∈T_r} v_k in sums, minus the node's
+// actual neighbour sum, so one row costs O(deg·dim + |R|·dim) instead of
+// O(n·dim). The row is divided by its entry of the diagonal D, which is
+// accumulated alongside. scratch must hold dim floats.
+func roRow(p *Problem, h Hyperparams, sums, from *vec.Matrix, i int, dst, scratch []float64) {
+	rt := float64(p.NumRelTypes[i] + 1)
+	beta := h.Beta / rt
 	vec.Zero(dst)
-	vec.Axpy(dst, w.alpha[i], p.W0.Row(i))
-	if w.beta[i] != 0 {
-		vec.Axpy(dst, w.beta[i], p.Centroids.Row(i))
+	vec.Axpy(dst, h.Alpha, p.W0.Row(i))
+	if beta != 0 {
+		vec.Axpy(dst, beta, p.Centroids.Row(i))
 	}
-	denom := w.alpha[i] + w.beta[i]
+	denom := h.Alpha + beta
 	for gi := range p.Groups {
 		g := &p.Groups[gi]
-		if g.OutDeg(i) == 0 {
+		od := g.OutDeg(i)
+		if od == 0 {
 			continue
 		}
-		gammaSelf := w.gamma[gi]
-		gammaInv := w.gamma[g.Inverse]
-		dg := w.deltaRO[gi]
-		related := make(map[int]bool, g.OutDeg(i))
+		gammaSelf := h.Gamma / (float64(od) * rt)
+		inv := &p.Groups[g.Inverse]
+		nbrSum := scratch
+		vec.Zero(nbrSum)
 		attract := func(j int) {
-			weight := gammaSelf[i] + gammaInv[j]
+			// γ^r̄_j: j is a target of g, hence a source of the inverse.
+			weight := gammaSelf + h.Gamma/(float64(inv.OutDeg(j))*float64(p.NumRelTypes[j]+1))
 			vec.Axpy(dst, weight, from.Row(j))
 			denom += weight
-			related[j] = true
+			vec.Axpy(nbrSum, 1, from.Row(j))
 		}
 		base, extra := g.TargetLists(i)
 		for _, j := range base {
@@ -214,18 +47,15 @@ func roUpdateNode(p *Problem, w *weights, from *vec.Matrix, i int, dst []float64
 		for _, j := range extra {
 			attract(int(j))
 		}
-		if dg == 0 {
-			continue
-		}
-		for t := 0; t < p.N; t++ {
-			if g.TargetSet[t] && !related[t] {
-				vec.Axpy(dst, -2*dg, from.Row(t))
-				denom -= 2 * dg
-			}
+		if dg := deltaRO(g, h); dg != 0 {
+			// -(2·d_g)·(Σ_{k∈T} v_k − Σ_{k∈N(i)} v_k); the diagonal loses
+			// Σ_{k:(i,k)∈Ẽ_r} (δ^r_i + δ^r̄_k) = 2·d_g·(|T_r| − od_r(i)).
+			vec.Axpy(dst, -2*dg, sums.Row(gi))
+			vec.Axpy(dst, 2*dg, nbrSum)
+			denom -= 2 * dg * float64(g.TargetCount-od)
 		}
 	}
 	if denom != 0 {
 		vec.Scale(dst, 1/denom)
 	}
-	return denom
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"github.com/retrodb/retro/internal/reldb"
 	"github.com/retrodb/retro/internal/vec"
 )
 
@@ -43,6 +45,78 @@ func randomProblem(t testing.TB, rng *rand.Rand, n, dim, numCats, numRels int) *
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestSolveMatchesReference pins the one driver from three sides, for
+// every variant, worker count, problem shape and with each of the
+// repulsion and centroid terms on and off: W is bit-equal across worker
+// counts (so sequential = parallel), agrees with the textbook Jacobi
+// reference of reference_test.go, and one more sweep produces exactly the
+// rows delta repair's kernel call produces from the same vectors and
+// their target sums (so full solve = repair).
+func TestSolveMatchesReference(t *testing.T) {
+	grown := func(rows int, wantCompacted bool) *Problem {
+		db, ex, p, tok := growFixture(t)
+		baseN := p.N
+		for i := 0; i < rows; i++ {
+			insertAndGrow(t, db, ex, p, tok, "movies", [][]reldb.Value{
+				{reldb.Int(int64(100 + i)), reldb.Text(fmt.Sprintf("film %d", i)), reldb.Text("usa")},
+			})
+		}
+		all := make([]int, p.N)
+		for i := range all {
+			all[i] = i
+		}
+		p.RefreshCentroids(all)
+		overflow, compacted := false, false
+		for gi := range p.Groups {
+			overflow = overflow || p.Groups[gi].extraEdges > 0
+			compacted = compacted || len(p.Groups[gi].RowPtr) > baseN+1
+		}
+		if !overflow || compacted != wantCompacted {
+			t.Fatalf("%d grown rows: overflow=%v compacted=%v", rows, overflow, compacted)
+		}
+		return p
+	}
+	problems := []struct {
+		name string
+		p    *Problem
+	}{
+		{"fresh", randomProblem(t, rand.New(rand.NewSource(29)), 40, 5, 3, 3)},
+		{"overflow", grown(3, false)},
+		{"compacted", grown(200, true)},
+	}
+	for _, pc := range problems {
+		p := pc.p
+		for _, variant := range []Variant{RO, RN} {
+			for _, delta := range []float64{0, 0.5} {
+				for _, beta := range []float64{0, 0.8} {
+					h := Hyperparams{Alpha: 2, Beta: beta, Gamma: 1.5, Delta: delta, Iterations: 3}
+					name := fmt.Sprintf("%s/%v/delta=%g/beta=%g", pc.name, variant, delta, beta)
+					seq := Solve(p, h, variant, ParallelOptions{Workers: 1}).W
+					for _, workers := range []int{0, 2, 3, 7, p.N + 5} {
+						if par := Solve(p, h, variant, ParallelOptions{Workers: workers}).W; !par.Equal(seq, 0) {
+							t.Errorf("%s: workers=%d differs from workers=1", name, workers)
+						}
+					}
+					if !seq.Equal(solveNaive(p, h, variant), 1e-9) {
+						t.Errorf("%s: differs from the pointwise reference", name)
+					}
+
+					h.Iterations++
+					next := Solve(p, h, variant, ParallelOptions{Workers: 3}).W
+					st := NewIncrementalState(p, seq)
+					repaired, scratch := vec.NewMatrix(p.N, p.Dim), make([]float64, p.Dim)
+					for i := 0; i < p.N; i++ {
+						updateRow(p, h, variant, st.sums, seq, i, repaired.Row(i), scratch)
+					}
+					if !repaired.Equal(next, 0) {
+						t.Errorf("%s: the next sweep's rows are not the repair kernel's", name)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestParallelROMatchesSequential(t *testing.T) {
@@ -100,16 +174,8 @@ func TestPropertyROPointwiseEquivalence(t *testing.T) {
 		p := randomProblem(t, rng, 5+rng.Intn(15), 1+rng.Intn(4), 1+rng.Intn(3), 1+rng.Intn(3))
 		h := Hyperparams{Alpha: 1 + rng.Float64(), Beta: rng.Float64(), Gamma: rng.Float64() * 2, Delta: rng.Float64() * 0.5, Iterations: 1}
 		res := SolveRO(p, h, SolveOptions{})
-		w := deriveWeights(p, h)
-		buf := make([]float64, p.Dim)
-		for i := 0; i < p.N; i++ {
-			roUpdateNode(p, w, p.W0, i, buf)
-			for j := range buf {
-				d := buf[j] - res.W.At(i, j)
-				if d > 1e-9 || d < -1e-9 {
-					t.Fatalf("trial %d node %d: matrix %v != pointwise %v", trial, i, res.W.Row(i), buf)
-				}
-			}
+		if want := solveNaive(p, h, RO); !res.W.Equal(want, 1e-9) {
+			t.Fatalf("trial %d: matrix %v != pointwise %v", trial, res.W, want)
 		}
 	}
 }
@@ -121,8 +187,7 @@ func TestPropertyRONaiveEqualsOptimized(t *testing.T) {
 		p := randomProblem(t, rng, 5+rng.Intn(20), 1+rng.Intn(4), 1+rng.Intn(3), 1+rng.Intn(3))
 		h := Hyperparams{Alpha: 2, Beta: rng.Float64(), Gamma: rng.Float64() * 2, Delta: rng.Float64(), Iterations: 1 + rng.Intn(5)}
 		opt := SolveRO(p, h, SolveOptions{})
-		naive := SolveRO(p, h, SolveOptions{NaiveNegative: true})
-		if !opt.W.Equal(naive.W, 1e-9) {
+		if !opt.W.Equal(solveNaive(p, h, RO), 1e-9) {
 			t.Fatalf("trial %d: optimisation changed results", trial)
 		}
 	}

@@ -227,16 +227,10 @@ func Retrofit(db *DB, base *Embedding, cfg Config) (*Model, error) {
 	hp := resolveParams(cfg)
 	tok := tokenize.New(base)
 	prob := core.BuildProblem(ex, tok)
-	opts := core.SolveOptions{TrackLoss: cfg.TrackLoss}
-	var res *core.Result
-	switch {
-	case cfg.Parallel == 0:
-		res = core.Solve(prob, hp, cfg.Variant, opts)
-	case cfg.Variant == RO:
-		res = core.SolveROParallel(prob, hp, core.ParallelOptions{SolveOptions: opts, Workers: workerCount(cfg.Parallel)})
-	default:
-		res = core.SolveRNParallel(prob, hp, core.ParallelOptions{SolveOptions: opts, Workers: workerCount(cfg.Parallel)})
-	}
+	res := core.Solve(prob, hp, cfg.Variant, core.ParallelOptions{
+		SolveOptions: core.SolveOptions{TrackLoss: cfg.TrackLoss},
+		Workers:      workerCount(cfg.Parallel),
+	})
 
 	m := &Model{
 		db: db, base: base, ex: ex, tok: tok, prob: prob,
@@ -246,8 +240,12 @@ func Retrofit(db *DB, base *Embedding, cfg Config) (*Model, error) {
 	return m, nil
 }
 
+// workerCount maps Config.Parallel onto core.ParallelOptions.Workers.
 func workerCount(parallel int) int {
-	if parallel < 0 {
+	switch {
+	case parallel == 0:
+		return 1 // sequential
+	case parallel < 0:
 		return 0 // ParallelOptions defaults to GOMAXPROCS
 	}
 	return parallel

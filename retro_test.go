@@ -3,8 +3,10 @@ package retro
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
+	"github.com/retrodb/retro/internal/datagen"
 	"github.com/retrodb/retro/internal/vec"
 )
 
@@ -108,27 +110,34 @@ func TestNeighbors(t *testing.T) {
 	}
 }
 
+// TestParallelSolveMatchesSequential: every Config.Parallel setting runs
+// the same arithmetic — byte-identical store matrices and equal loss
+// histories. 10 000 workers exceed the world's value count, which takes
+// the row splitter's one-range fallback.
 func TestParallelSolveMatchesSequential(t *testing.T) {
-	db := fixtureDB(t)
-	emb := fixtureEmbedding()
+	w := datagen.TMDB(datagen.TMDBConfig{Movies: 60, Dim: 16, Seed: 3})
 	for _, variant := range []Variant{RO, RN} {
-		seqCfg := Defaults()
-		seqCfg.Variant = variant
-		parCfg := seqCfg
-		parCfg.Parallel = -1
-		seq, err := Retrofit(db, emb, seqCfg)
+		cfg := Defaults()
+		cfg.Variant = variant
+		cfg.TrackLoss = true
+		seq, err := Retrofit(w.DB, w.Embedding, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Retrofit(db, emb, parCfg)
-		if err != nil {
-			t.Fatal(err)
+		if len(seq.LossHistory()) == 0 || seq.Store().Len() >= 10000 {
+			t.Fatalf("%v: %d losses over %d values", variant, len(seq.LossHistory()), seq.Store().Len())
 		}
-		a, _ := seq.Vector("movies", "title", "inception")
-		b, _ := par.Vector("movies", "title", "inception")
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%v: parallel result differs from sequential", variant)
+		for _, parallel := range []int{1, 3, -1, 10000} {
+			cfg.Parallel = parallel
+			par, err := Retrofit(w.DB, w.Embedding, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !par.Store().Matrix().Equal(seq.Store().Matrix(), 0) {
+				t.Errorf("%v: Parallel=%d vectors differ from sequential", variant, parallel)
+			}
+			if !reflect.DeepEqual(par.LossHistory(), seq.LossHistory()) {
+				t.Errorf("%v: Parallel=%d loss history differs from sequential", variant, parallel)
 			}
 		}
 	}
