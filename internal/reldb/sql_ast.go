@@ -22,7 +22,6 @@ type selectStmt struct {
 	from     tableRef
 	joins    []joinClause
 	where    exprNode // may be nil
-	groupBy  []orderKey
 	orderBy  []orderKey
 	limit    int // -1 = no limit
 }
@@ -31,18 +30,7 @@ type selectItem struct {
 	star  bool   // bare * (only allowed alone)
 	table string // optional qualifier
 	col   string
-	as    string   // optional alias
-	agg   *aggSpec // aggregate function, or nil for a plain column
-}
-
-// hasAggregates reports whether any select item is an aggregate.
-func (s selectStmt) hasAggregates() bool {
-	for _, item := range s.items {
-		if item.agg != nil {
-			return true
-		}
-	}
-	return false
+	as    string // optional alias
 }
 
 type tableRef struct {

@@ -256,16 +256,6 @@ func (db *DB) execSelect(s selectStmt) (*Result, error) {
 		rows = filtered
 	}
 
-	if s.hasAggregates() || len(s.groupBy) > 0 {
-		if len(s.orderBy) > 0 {
-			return nil, fmt.Errorf("reldb: ORDER BY with aggregates is not supported (groups are emitted in deterministic key order)")
-		}
-		if s.distinct {
-			return nil, fmt.Errorf("reldb: DISTINCT with aggregates is not supported")
-		}
-		return execAggregate(env, rows, s)
-	}
-
 	// Projection.
 	var cols []boundCol
 	var headers []string

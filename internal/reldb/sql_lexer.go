@@ -31,7 +31,7 @@ var sqlKeywords = map[string]bool{
 	"SELECT": true, "DISTINCT": true, "FROM": true, "JOIN": true,
 	"INNER": true, "ON": true, "WHERE": true, "AND": true, "OR": true,
 	"ORDER": true, "BY": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"GROUP": true, "IS": true, "COUNT": true, "AS": true, "LIKE": true,
+	"IS": true, "AS": true, "LIKE": true,
 	"TRUE": true, "FALSE": true,
 }
 

@@ -304,22 +304,6 @@ func (p *parser) parseSelect() (statement, error) {
 		}
 		st.where = e
 	}
-	if p.acceptKeyword("GROUP") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			tbl, col, err := p.parseQualifiedCol()
-			if err != nil {
-				return nil, err
-			}
-			st.groupBy = append(st.groupBy, orderKey{table: tbl, col: col})
-			if p.acceptPunct(",") {
-				continue
-			}
-			break
-		}
-	}
 	if p.acceptKeyword("ORDER") {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
@@ -357,66 +341,17 @@ func (p *parser) parseSelect() (statement, error) {
 }
 
 func (p *parser) parseSelectItem() (selectItem, error) {
-	// Aggregates: COUNT(*) / COUNT(col) (keyword) or SUM/AVG/MIN/MAX(col)
-	// (contextual: an identifier immediately followed by a parenthesis).
-	if p.acceptKeyword("COUNT") {
-		spec, err := p.parseAggArgs(aggCountCol)
-		if err != nil {
-			return selectItem{}, err
-		}
-		return p.withAlias(selectItem{agg: spec})
-	}
-	if t := p.peek(); t.kind == tokIdent {
-		if kind, ok := parseAggName(t.text); ok && p.toks[p.pos+1].kind == tokPunct && p.toks[p.pos+1].text == "(" {
-			p.pos++
-			spec, err := p.parseAggArgs(kind)
-			if err != nil {
-				return selectItem{}, err
-			}
-			return p.withAlias(selectItem{agg: spec})
-		}
-	}
 	tbl, col, err := p.parseQualifiedCol()
 	if err != nil {
 		return selectItem{}, err
 	}
-	return p.withAlias(selectItem{table: tbl, col: col})
-}
-
-func (p *parser) withAlias(item selectItem) (selectItem, error) {
+	item := selectItem{table: tbl, col: col}
 	if p.acceptKeyword("AS") {
-		alias, err := p.expectIdent()
-		if err != nil {
+		if item.as, err = p.expectIdent(); err != nil {
 			return selectItem{}, err
 		}
-		item.as = alias
 	}
 	return item, nil
-}
-
-// parseAggArgs parses "( * )" or "( [table.]col )" after an aggregate
-// name. kind is the column form; COUNT(*) maps to aggCount.
-func (p *parser) parseAggArgs(kind aggKind) (*aggSpec, error) {
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	if p.acceptPunct("*") {
-		if kind != aggCountCol {
-			return nil, fmt.Errorf("reldb: only COUNT accepts *")
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return &aggSpec{kind: aggCount}, nil
-	}
-	tbl, col, err := p.parseQualifiedCol()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
-	return &aggSpec{kind: kind, table: tbl, col: col}, nil
 }
 
 func (p *parser) parseTableRef() (tableRef, error) {

@@ -170,67 +170,3 @@ func TestPropertySQLWhereMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-func TestPropertySQLAggregatesMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	db, rows := propFixture(t, rng, 100)
-	for trial := 0; trial < 60; trial++ {
-		pred := randPredicate(rng, 1)
-		sql := "SELECT COUNT(*), SUM(weight), COUNT(score) FROM t WHERE " + pred.sql
-		res, err := db.Exec(sql)
-		if err != nil {
-			t.Fatalf("trial %d: %v\n  in: %s", trial, err, sql)
-		}
-		var count, countScore int64
-		var sum float64
-		for _, r := range rows {
-			if !pred.eval(r) {
-				continue
-			}
-			count++
-			sum += float64(r.weight)
-			if !r.isNull {
-				countScore++
-			}
-		}
-		got := res.Rows[0]
-		if got[0].I != count || got[1].Num != sum || got[2].I != countScore {
-			t.Fatalf("trial %d: got %v want [%d %g %d]\n  in: %s", trial, got, count, sum, countScore, sql)
-		}
-	}
-}
-
-func TestPropertyGroupByMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	db, rows := propFixture(t, rng, 150)
-	res := db.MustExec(`SELECT name, COUNT(*), AVG(score) FROM t GROUP BY name`)
-	wantCount := map[string]int64{}
-	wantSum := map[string]float64{}
-	wantN := map[string]int64{}
-	for _, r := range rows {
-		wantCount[r.name]++
-		if !r.isNull {
-			wantSum[r.name] += r.score
-			wantN[r.name]++
-		}
-	}
-	if len(res.Rows) != len(wantCount) {
-		t.Fatalf("groups = %d want %d", len(res.Rows), len(wantCount))
-	}
-	for _, row := range res.Rows {
-		name := row[0].Str
-		if row[1].I != wantCount[name] {
-			t.Fatalf("%s: count %d want %d", name, row[1].I, wantCount[name])
-		}
-		if wantN[name] == 0 {
-			if !row[2].IsNull() {
-				t.Fatalf("%s: avg should be NULL", name)
-			}
-			continue
-		}
-		want := wantSum[name] / float64(wantN[name])
-		if diff := row[2].Num - want; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("%s: avg %v want %v", name, row[2].Num, want)
-		}
-	}
-}

@@ -80,9 +80,9 @@ func TestSelectJoinAliases(t *testing.T) {
 
 func TestInnerJoinKeywordAndCount(t *testing.T) {
 	db := sqlFixture(t)
-	res := db.MustExec(`SELECT COUNT(*) FROM movies INNER JOIN directed_by ON movies.id = directed_by.movie_id`)
-	if res.Rows[0][0].I != 3 {
-		t.Fatalf("count = %v", res.Rows)
+	res := db.MustExec(`SELECT movies.id FROM movies INNER JOIN directed_by ON movies.id = directed_by.movie_id`)
+	if len(res.Rows) != 3 {
+		t.Fatalf("join rows = %v", res.Rows)
 	}
 }
 
@@ -124,13 +124,13 @@ func TestWhereIsNull(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].Str != "Mystery" {
 		t.Fatalf("IS NULL = %v", res.Rows)
 	}
-	res = db.MustExec(`SELECT COUNT(*) FROM movies WHERE budget IS NOT NULL`)
-	if res.Rows[0][0].I != 3 {
-		t.Fatalf("IS NOT NULL count = %v", res.Rows)
+	res = db.MustExec(`SELECT id FROM movies WHERE budget IS NOT NULL`)
+	if len(res.Rows) != 3 {
+		t.Fatalf("IS NOT NULL rows = %v", res.Rows)
 	}
 	// NULL comparisons are false, never matching.
-	res = db.MustExec(`SELECT COUNT(*) FROM movies WHERE budget = 15000000`)
-	if res.Rows[0][0].I != 1 {
+	res = db.MustExec(`SELECT id FROM movies WHERE budget = 15000000`)
+	if len(res.Rows) != 1 {
 		t.Fatalf("NULL-safe compare = %v", res.Rows)
 	}
 }
@@ -220,6 +220,9 @@ func TestSQLErrors(t *testing.T) {
 		`SELECT id, FROM movies`,
 		`SELECT id FROM movies JOIN persons ON movies.id = ghosts.id`,
 		`SELECT name FROM persons p JOIN directed_by p ON p.id = p.person_id`,
+		// Aggregates and grouping are not part of the subset.
+		`SELECT COUNT(*) FROM movies`,
+		`SELECT title FROM movies GROUP BY title`,
 	}
 	for _, s := range bad {
 		if _, err := db.Exec(s); err == nil {
@@ -257,8 +260,8 @@ func TestUnqualifiedColumnsResolve(t *testing.T) {
 func TestJoinSkipsNullKeys(t *testing.T) {
 	db := sqlFixture(t)
 	db.MustExec(`INSERT INTO directed_by (person_id) VALUES (10)`) // NULL movie_id
-	res := db.MustExec(`SELECT COUNT(*) FROM movies JOIN directed_by ON movies.id = directed_by.movie_id`)
-	if res.Rows[0][0].I != 3 {
+	res := db.MustExec(`SELECT movies.id FROM movies JOIN directed_by ON movies.id = directed_by.movie_id`)
+	if len(res.Rows) != 3 {
 		t.Fatalf("NULL join key should not match: %v", res.Rows)
 	}
 }
@@ -333,5 +336,34 @@ func TestQuotedIdentifiers(t *testing.T) {
 	res := db.MustExec(`SELECT "Col" FROM "Weird"`)
 	if len(res.Rows) != 1 || res.Rows[0][0].Str != "x" {
 		t.Fatalf("quoted identifiers = %v", res.Rows)
+	}
+}
+
+// TestAggregateErrors: the subset has no aggregates and no grouping, so
+// each form the engine once evaluated is refused rather than answered.
+func TestAggregateErrors(t *testing.T) {
+	db := sqlFixture(t)
+	for _, s := range []string{
+		`SELECT COUNT(title) FROM movies`,
+		`SELECT SUM(budget), AVG(budget) FROM movies`,
+		`SELECT MIN(title), MAX(title) FROM movies`,
+		`SELECT language, COUNT(*) FROM movies GROUP BY language`,
+		`SELECT persons.name FROM movies JOIN directed_by ON movies.id = directed_by.movie_id JOIN persons ON persons.id = directed_by.person_id GROUP BY persons.name`,
+	} {
+		if _, err := db.Exec(s); err == nil {
+			t.Errorf("no error for: %s", s)
+		}
+	}
+}
+
+// TestColumnsNamedLikeAggregatesStillWork: count, sum, avg and group are
+// ordinary identifiers, usable as column names.
+func TestColumnsNamedLikeAggregatesStillWork(t *testing.T) {
+	db := New()
+	db.MustExec(`CREATE TABLE t (count INT, sum INT, avg TEXT, "group" TEXT)`)
+	db.MustExec(`INSERT INTO t VALUES (2, 3, 'x', 'g')`)
+	res := db.MustExec(`SELECT count, sum, avg, "group" FROM t WHERE count = 2`)
+	if len(res.Rows) != 1 || res.Rows[0][1].I != 3 || res.Rows[0][2].Str != "x" || res.Rows[0][3].Str != "g" {
+		t.Fatalf("plain columns named like aggregates = %v", res.Rows)
 	}
 }
