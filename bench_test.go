@@ -156,8 +156,9 @@ func BenchmarkExtraction(b *testing.B) {
 	}
 }
 
-// BenchmarkTokenizerTrie is the DESIGN.md tokenizer ablation: trie
-// longest-match versus naive whitespace lookup.
+// BenchmarkTokenizerTrie ablates the tokenizer: trie longest-match versus
+// naive whitespace lookup (TestTokenizeLongestMatch in internal/tokenize
+// holds the correctness side).
 func BenchmarkTokenizerTrie(b *testing.B) {
 	w := datagen.TMDB(datagen.TMDBConfig{Movies: 100, Dim: 48, Seed: 1})
 	ex, err := extract.FromDB(w.DB, extract.Options{})
@@ -195,40 +196,6 @@ func BenchmarkRetrofitEndToEnd(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkIncrementalInsert measures ExecAndRefresh — the legacy
-// full-refresh repair kept for opaque SQL statements — against a full
-// re-solve. At this toy scale the full matrix solve wins: the refresh
-// pays whole-database re-extraction and problem rebuild on every call.
-// The serving write path (Session.Insert/InsertBatch) repairs from the
-// row delta instead; BenchmarkSessionInsert covers it and demonstrates
-// the flat per-row cost.
-func BenchmarkIncrementalInsert(b *testing.B) {
-	w := datagen.TMDB(datagen.TMDBConfig{Movies: 100, Dim: 48, Seed: 1})
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			world := datagen.TMDB(datagen.TMDBConfig{Movies: 100, Dim: 48, Seed: 1})
-			sess, err := NewSession(world.DB, world.Embedding, Defaults())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			if err := sess.ExecAndRefresh(fmt.Sprintf(
-				`INSERT INTO movies (id, title, original_language, director_id) VALUES (%d, 'bench title %d', 'english', 0)`,
-				10_000+i, i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("full-resolve", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Retrofit(w.DB, w.Embedding, Defaults()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // --- Serving write path: delta extraction + batched repair ------------------

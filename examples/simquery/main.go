@@ -57,9 +57,12 @@ func main() {
 	// Inserting new rows updates the vectors incrementally — no
 	// re-training (§1's incremental maintenance property).
 	before := sess.Model().NumValues()
-	if err := sess.ExecAndRefresh(
-		`INSERT INTO movies (id, title, original_language, director_id) VALUES (9001, 'the phantom reel', 'english', 0)`,
-	); err != nil {
+	// A row in column order: id, title, overview, original_language,
+	// budget, revenue, popularity, director_id.
+	if err := sess.Insert("movies", []retro.Value{
+		retro.Int(9001), retro.Text("the phantom reel"), retro.Null, retro.Text("english"),
+		retro.Null, retro.Null, retro.Null, retro.Int(0),
+	}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ninserted a movie: %d -> %d text values\n", before, sess.Model().NumValues())

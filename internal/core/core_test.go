@@ -455,7 +455,7 @@ func TestIncrementalMatchesFullSolve(t *testing.T) {
 	w := full.W.Clone()
 	vec.Fill(w.Row(0), 9)
 	vec.Fill(w.Row(3), -9)
-	sweeps := UpdateIncremental(p, w, []int{0, 3}, h, RO, IncrementalOptions{MaxIterations: 300, Tolerance: 1e-12})
+	sweeps := UpdateIncremental(p, w, NewIncrementalState(p, w), []int{0, 3}, h, RO, IncrementalOptions{MaxIterations: 300, Tolerance: 1e-12})
 	if sweeps <= 0 {
 		t.Fatal("no sweeps performed")
 	}
@@ -470,7 +470,7 @@ func TestIncrementalRN(t *testing.T) {
 	full := SolveRN(p, h, SolveOptions{})
 	w := full.W.Clone()
 	vec.Fill(w.Row(2), 5)
-	UpdateIncremental(p, w, []int{2}, h, RN, IncrementalOptions{MaxIterations: 300, Tolerance: 1e-12})
+	UpdateIncremental(p, w, NewIncrementalState(p, w), []int{2}, h, RN, IncrementalOptions{MaxIterations: 300, Tolerance: 1e-12})
 	if !w.Equal(full.W, 1e-6) {
 		t.Fatal("RN incremental repair diverges from full solve")
 	}
@@ -481,7 +481,7 @@ func TestIncrementalIgnoresOutOfRange(t *testing.T) {
 	h := DefaultRO()
 	res := SolveRO(p, h, SolveOptions{})
 	w := res.W.Clone()
-	UpdateIncremental(p, w, []int{-1, 999}, h, RO, IncrementalOptions{})
+	UpdateIncremental(p, w, NewIncrementalState(p, w), []int{-1, 999}, h, RO, IncrementalOptions{})
 	if !w.Equal(res.W, 0) {
 		t.Fatal("out-of-range dirty ids must be ignored")
 	}

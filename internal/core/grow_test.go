@@ -207,7 +207,7 @@ func TestGrownProblemRepairApproximatesFullSolve(t *testing.T) {
 	st.Grow(p, w, rep)
 	touched := AffectedNodesBudget(p, rep.Seeds, 2, 0)
 	p.RefreshCentroids(touched)
-	UpdateIncremental(p, w, touched, h, RN, IncrementalOptions{MaxIterations: 200, Tolerance: 1e-12, State: st})
+	UpdateIncremental(p, w, st, touched, h, RN, IncrementalOptions{MaxIterations: 200, Tolerance: 1e-12})
 
 	full := SolveRN(BuildProblem(ex, tok), h, SolveOptions{}).W
 	brazil, ok := ex.Lookup("movies", "title", "brazil")
@@ -231,8 +231,9 @@ func TestIncrementalStateMatchesStatelessRepair(t *testing.T) {
 		vec.Fill(b.Row(0), 7)
 		dirty := []int{0, 1, 2}
 		st := NewIncrementalState(p, a)
-		UpdateIncremental(p, a, dirty, h, variant, IncrementalOptions{MaxIterations: 120, Tolerance: 1e-12, State: st})
-		UpdateIncremental(p, b, dirty, h, variant, IncrementalOptions{MaxIterations: 120, Tolerance: 1e-12})
+		UpdateIncremental(p, a, st, dirty, h, variant, IncrementalOptions{MaxIterations: 120, Tolerance: 1e-12})
+		// The reference sums every group from scratch on each call.
+		UpdateIncremental(p, b, NewIncrementalState(p, b), dirty, h, variant, IncrementalOptions{MaxIterations: 120, Tolerance: 1e-12})
 		if !a.Equal(b, 1e-9) {
 			t.Fatalf("%v: maintained state diverges from stateless repair", variant)
 		}

@@ -55,9 +55,6 @@ type IncrementalOptions struct {
 	// Tolerance stops iterating when no dirty vector moves more than this
 	// L2 distance in one sweep (default 1e-9).
 	Tolerance float64
-	// State reuses cross-repair target sums (see IncrementalState). When
-	// nil a fresh state is computed, which costs one O(n·|R|) pass.
-	State *IncrementalState
 }
 
 func (o IncrementalOptions) withDefaults() IncrementalOptions {
@@ -79,17 +76,15 @@ func (o IncrementalOptions) withDefaults() IncrementalOptions {
 // iterating the pointwise updates over the dirty set converges to the
 // same values a full re-solve would assign given the fixed complement.
 //
-// With a maintained IncrementalState the cost per sweep is proportional
-// to the dirty nodes' degrees, independent of the problem size.
+// st carries the target sums bound to (p, w), and is kept in step with
+// every row the repair rewrites; with it maintained across repairs the
+// cost per sweep is proportional to the dirty nodes' degrees,
+// independent of the problem size.
 //
 // Returns the number of sweeps performed.
-func UpdateIncremental(p *Problem, w *vec.Matrix, dirty []int, h Hyperparams, variant Variant, opts IncrementalOptions) int {
+func UpdateIncremental(p *Problem, w *vec.Matrix, st *IncrementalState, dirty []int, h Hyperparams, variant Variant, opts IncrementalOptions) int {
 	opts = opts.withDefaults()
 	h = h.withDefaults()
-	st := opts.State
-	if st == nil {
-		st = NewIncrementalState(p, w)
-	}
 	buf := make([]float64, p.Dim)
 	scratch := make([]float64, p.Dim)
 	diff := make([]float64, p.Dim)

@@ -246,7 +246,7 @@ func TestPropertyIncrementalRepair(t *testing.T) {
 		for _, i := range dirty {
 			vec.Fill(w.Row(i), 7)
 		}
-		UpdateIncremental(p, w, dirty, h, RO, IncrementalOptions{MaxIterations: 400, Tolerance: 1e-12})
+		UpdateIncremental(p, w, NewIncrementalState(p, w), dirty, h, RO, IncrementalOptions{MaxIterations: 400, Tolerance: 1e-12})
 		if !w.Equal(full.W, 1e-5) {
 			t.Fatalf("trial %d: repair did not restore fixed point", trial)
 		}

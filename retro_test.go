@@ -227,7 +227,7 @@ func TestSessionIncrementalInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := sess.Model().NumValues()
-	if err := sess.ExecAndRefresh(`INSERT INTO movies VALUES (5, 'brazil', 'usa')`); err != nil {
+	if err := sess.Insert("movies", []Value{Int(5), Text("brazil"), Text("usa")}); err != nil {
 		t.Fatal(err)
 	}
 	if sess.Model().NumValues() != before+1 {
@@ -261,7 +261,7 @@ func TestSessionIncrementalApproximatesFullSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.ExecAndRefresh(`INSERT INTO movies VALUES (5, 'brazil', 'usa')`); err != nil {
+	if err := sess.Insert("movies", []Value{Int(5), Text("brazil"), Text("usa")}); err != nil {
 		t.Fatal(err)
 	}
 	full, err := Retrofit(db, fixtureEmbedding(), Defaults())

@@ -28,9 +28,12 @@ const DefaultRepairBudget = 512
 // (core.GrowProblem) and re-solves only the new values' bounded
 // neighbourhood against maintained solver state, so the per-row cost
 // stays flat as the database grows. InsertBatch amortises one repair
-// over many rows.
+// over many rows. Insert and InsertBatch are the session's only write
+// path — the one the write-ahead log records and followers replay — and
+// Resolve, a full re-solve, its only recovery: a session whose repair
+// failed (Stale) runs it on the next write.
 //
-// Insert, InsertBatch and ExecAndRefresh update the embedding store (and
+// Insert and InsertBatch update the embedding store (and
 // any built ANN index) in place, and previously obtained Models share
 // that store. Callers that query a Model concurrently with inserts must
 // either synchronise the two with a lock, or — as internal/server does —
@@ -259,30 +262,6 @@ func (s *Session) InsertBatch(table string, rows [][]Value) error {
 	return nil
 }
 
-// ExecAndRefresh runs a SQL statement (e.g. INSERT) and repairs the
-// embeddings afterwards. The statement's effect on the database is
-// opaque here, so this path re-extracts the whole database (a full
-// refresh); prefer Insert/InsertBatch on the serving path, which repair
-// from the delta. A failure after the statement executed is reported as
-// *RepairError.
-func (s *Session) ExecAndRefresh(sql string) error {
-	if s.walAppend != nil {
-		// A SQL statement's row effects are opaque here, so they cannot be
-		// written to the log — after a restart the recovered model would
-		// silently miss them. Storage-backed sessions must insert through
-		// Insert/InsertBatch.
-		return fmt.Errorf("retro: ExecAndRefresh is not supported on a storage-backed session (statements bypass the write-ahead log)")
-	}
-	if _, err := s.db.Exec(sql); err != nil {
-		return err
-	}
-	if err := s.refreshFull(); err != nil {
-		s.stale.Store(true)
-		return &RepairError{Err: err}
-	}
-	return nil
-}
-
 // refreshRows repairs the model after rows were committed to table.
 // A stale session cannot repair from a delta — its extraction baseline
 // no longer matches the database — so it re-solves from scratch, which
@@ -369,7 +348,7 @@ func (s *Session) repairDelta(table string, rowIDs []int) error {
 
 	touched := core.AffectedNodesBudget(m.prob, rep.Seeds, s.Hops, s.RepairBudget)
 	m.prob.RefreshCentroids(touched)
-	core.UpdateIncremental(m.prob, w, touched, m.hp, s.cfg.Variant, core.IncrementalOptions{State: s.incState})
+	core.UpdateIncremental(m.prob, w, s.incState, touched, m.hp, s.cfg.Variant, core.IncrementalOptions{})
 	solved := time.Now()
 
 	// Fold the repaired rows into the store's derived state. When the
@@ -418,108 +397,6 @@ func (s *Session) solverMatrix(store *Embedding) *vec.Matrix {
 		}
 	}
 	return s.mirror
-}
-
-// refreshFull is the pre-delta repair path kept for statements whose
-// effect cannot be expressed as a row delta: re-extract the database,
-// rebuild the problem, carry over solved vectors by value key, and
-// re-solve what changed.
-func (s *Session) refreshFull() error {
-	start := time.Now()
-	old := s.model
-	ex, err := extract.FromDB(s.db, extract.Options{
-		ExcludeColumns:   s.cfg.ExcludeColumns,
-		ExcludeRelations: s.cfg.ExcludeRelations,
-	})
-	if err != nil {
-		return err
-	}
-	prob := core.BuildProblem(ex, old.tok)
-
-	// Warm start: carry over solved vectors by value key; anything new
-	// keeps its W0 initialisation and is marked dirty.
-	w := prob.W0.Clone()
-	var dirty []int
-	for _, v := range ex.Values {
-		key := deepwalk.ValueKey(ex, v.ID)
-		if oldVec, ok := old.store.VectorOf(key); ok && len(oldVec) == prob.Dim {
-			copy(w.Row(v.ID), oldVec)
-		} else {
-			dirty = append(dirty, v.ID)
-		}
-	}
-	touched := dirty
-	if len(dirty) > 0 {
-		touched = core.AffectedNodesBudget(prob, dirty, s.Hops, s.RepairBudget)
-		core.UpdateIncremental(prob, w, touched, old.hp, s.cfg.Variant, core.IncrementalOptions{})
-	}
-
-	m := &Model{
-		db: s.db, base: s.base, ex: ex, tok: old.tok, prob: prob,
-		cfg: s.cfg, hp: old.hp,
-	}
-	// The delta write path requires store row ids to mirror the (new)
-	// extraction's value ids. Re-extraction renumbers values whenever a
-	// statement added rows to a multi-text-column table (FromDB assigns
-	// ids column-major), so the old store — keyed correctly but ordered
-	// by the OLD extraction — is only reusable in place when every key
-	// still sits in its row. Otherwise rebuild it aligned; reusing it
-	// would pass repairDelta's length check and let a later Insert
-	// silently read and write the wrong values' rows.
-	aligned := old.store.Dim() == prob.Dim && old.store.Len() <= len(ex.Values)
-	if aligned {
-		for _, v := range ex.Values {
-			id, ok := old.store.ID(deepwalk.ValueKey(ex, v.ID))
-			if ok && id == v.ID {
-				continue
-			}
-			if !ok && v.ID >= old.store.Len() {
-				continue // appended below at exactly this row
-			}
-			aligned = false
-			break
-		}
-	}
-	if !aligned {
-		m.store = m.buildStore(w.Row)
-		s.replaceModel(m)
-		s.lastRepair = RepairStats{
-			Duration: time.Since(start), Touched: len(touched),
-			NewNodes: len(dirty), Full: true,
-		}
-		return nil
-	}
-	// Reuse the previous store: the vocabulary only grows (reldb has no
-	// DELETE) and untouched vectors were carried over bitwise, so only the
-	// new values and their repaired neighbourhood need (re)writing.
-	// Store.Add maintains a built HNSW index incrementally, which keeps
-	// insert cost flat on the serving path instead of forcing a full
-	// index rebuild. The previous Model shares this store: it stays
-	// queryable, but is not a frozen snapshot.
-	if len(touched)*2 >= old.store.Len() {
-		old.store.InvalidateANN()
-	}
-	changed := make(map[int]bool, len(touched))
-	for _, id := range touched {
-		changed[id] = true
-	}
-	for _, v := range ex.Values {
-		key := deepwalk.ValueKey(ex, v.ID)
-		if changed[v.ID] {
-			old.store.Add(key, w.Row(v.ID))
-			continue
-		}
-		if _, ok := old.store.VectorOf(key); !ok {
-			old.store.Add(key, w.Row(v.ID))
-		}
-	}
-	m.store = old.store
-	s.replaceModel(m)
-	s.lastRepair = RepairStats{
-		Duration: time.Since(start), Touched: len(touched),
-		NewNodes: len(dirty), Full: true,
-	}
-	return nil
 }
 
 // replaceModel swaps in a rebuilt model and resets the per-model repair

@@ -33,8 +33,9 @@ func TestSessionInsertRefreshesANN(t *testing.T) {
 	}
 
 	const newTitle = "a wholly new retrofit film"
-	if err := sess.ExecAndRefresh(
-		`INSERT INTO movies (id, title, original_language, director_id) VALUES (99001, '` + newTitle + `', 'english', 0)`); err != nil {
+	row := benchMovieRow(99001, newTitle)
+	row[7] = Int(0) // director_id
+	if err := sess.Insert("movies", row); err != nil {
 		t.Fatal(err)
 	}
 

@@ -210,54 +210,6 @@ func TestInsertBatchNumericOnlyTable(t *testing.T) {
 	}
 }
 
-// TestDeltaInsertAfterExecAndRefresh pins a corruption bug: the full
-// refresh renumbers value ids (FromDB assigns them column-major), so
-// reusing the old store order would leave store rows misaligned with
-// problem node ids — and a later delta Insert would silently repair the
-// wrong values' vectors. refreshFull must hand back an aligned store.
-func TestDeltaInsertAfterExecAndRefresh(t *testing.T) {
-	sess, err := NewSession(fixtureDB(t), fixtureEmbedding(), Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// New title shifts the country ids in a fresh extraction.
-	if err := sess.ExecAndRefresh(`INSERT INTO movies VALUES (10, 'brazil', 'usa')`); err != nil {
-		t.Fatal(err)
-	}
-	m := sess.Model()
-	for _, v := range m.ex.Values {
-		key, _ := m.Key(m.ex.Categories[v.Category].Table, m.ex.Categories[v.Category].Column, v.Text)
-		if id, ok := m.store.ID(key); !ok || id != v.ID {
-			t.Fatalf("store row %d holds value %d (%q): misaligned after full refresh", id, v.ID, v.Text)
-		}
-	}
-	// The delta path after the full refresh places values correctly.
-	if err := sess.Insert("movies", []Value{Int(11), Text("leon"), Text("france")}); err != nil {
-		t.Fatal(err)
-	}
-	l, err := sess.Model().Vector("movies", "title", "leon")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, _ := sess.Model().Vector("movies", "country", "france")
-	us, _ := sess.Model().Vector("movies", "country", "usa")
-	if vec.SquaredDistance(l, fr) >= vec.SquaredDistance(l, us) {
-		t.Fatal("post-refresh delta insert misplaced the new value")
-	}
-	// And every pre-existing value still matches a from-scratch solve.
-	full, err := Retrofit(sess.DB(), fixtureEmbedding(), Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, title := range []string{"inception", "godfather", "amelie", "brazil"} {
-		a, _ := sess.Model().Vector("movies", "title", title)
-		b, _ := full.Vector("movies", "title", title)
-		if cos := vec.Cosine(a, b); cos < 0.9 {
-			t.Fatalf("%s corrupted after refresh+delta (cosine %v)", title, cos)
-		}
-	}
-}
-
 // TestSnapshotAfterDeltaInsertResumes pins the companion bug: a snapshot
 // written AFTER incremental inserts stores values in write order, while
 // resume re-extracts them column-major. ResumeSession must realign the

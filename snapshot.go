@@ -178,8 +178,8 @@ func (s *Session) Snapshot(w io.Writer) error { return s.model.WriteSnapshot(w) 
 // ResumeSession rebuilds a live session from a snapshot plus the database
 // and base embedding it was trained on: the expensive solver state and
 // the HNSW graph come from the snapshot, while the relational side is
-// re-attached so Insert and ExecAndRefresh keep maintaining the
-// embeddings incrementally. The database must be in the same state as
+// re-attached so Insert and InsertBatch keep maintaining the embeddings
+// incrementally. The database must be in the same state as
 // when the snapshot was written; a vocabulary mismatch is an error.
 func ResumeSession(db *DB, base *Embedding, r io.Reader) (*Session, error) {
 	m, err := LoadSnapshot(r)

@@ -223,13 +223,12 @@ func TestResumeSession(t *testing.T) {
 	// Insert through both sessions; both must pick the value up and keep
 	// answering with a live (not stale) index.
 	for i := 0; i < 3; i++ {
-		stmt := fmt.Sprintf(
-			`INSERT INTO movies (id, title, original_language, director_id) VALUES (%d, 'resumed premiere %d', 'english', 0)`,
-			90_000+i, i)
-		if err := sess.ExecAndRefresh(stmt); err != nil {
+		row := benchMovieRow(90_000+i, fmt.Sprintf("resumed premiere %d", i))
+		row[7] = Int(0) // director_id
+		if err := sess.Insert("movies", row); err != nil {
 			t.Fatal(err)
 		}
-		if err := resumed.ExecAndRefresh(stmt); err != nil {
+		if err := resumed.Insert("movies", row); err != nil {
 			t.Fatalf("insert %d into resumed session: %v", i, err)
 		}
 	}

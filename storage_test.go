@@ -292,20 +292,6 @@ func TestStorageCompaction(t *testing.T) {
 	}
 }
 
-func TestStorageExecAndRefreshRejected(t *testing.T) {
-	dir := t.TempDir()
-	e := openFixtureStorage(t, dir, StorageOptions{})
-	defer e.Close()
-	err := e.Session().ExecAndRefresh(`INSERT INTO movies VALUES (5, 'matrix', 'usa')`)
-	if err == nil {
-		t.Fatal("ExecAndRefresh accepted on a storage-backed session")
-	}
-	// The statement must not have executed at all.
-	if n := e.Session().DB().MustTable("movies").NumRows(); n != 4 {
-		t.Fatalf("rows = %d after rejected ExecAndRefresh, want 4", n)
-	}
-}
-
 func TestStorageWALFailureWithholdsAck(t *testing.T) {
 	dir := t.TempDir()
 	failing := false
