@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -149,4 +150,57 @@ func TestStorageMetricsExported(t *testing.T) {
 			t.Errorf("metrics output missing %s", name)
 		}
 	}
+}
+
+// TestWALCountersMonotonicAcrossCheckpoint scrapes the retro_wal_*
+// counters around a checkpoint, which rotates the log: a Prometheus
+// counter that drops breaks rate(), so none may decrease.
+func TestWALCountersMonotonicAcrossCheckpoint(t *testing.T) {
+	s, _ := newStorageServer(t, t.TempDir(), nil)
+	h := s.Handler()
+	counters := []string{"retro_wal_appends_total", "retro_wal_syncs_total", "retro_wal_sync_seconds_total"}
+	last := map[string]float64{}
+	check := func(step string) {
+		t.Helper()
+		out := scrape(t, s)
+		for _, name := range counters {
+			v := sampleValue(t, out, name)
+			if v < last[name] {
+				t.Errorf("%s: %s fell from %g to %g", step, name, last[name], v)
+			}
+			last[name] = v
+		}
+	}
+	if code, body := insertRow(t, s, h, 9001, "first durable film"); code != http.StatusOK {
+		t.Fatalf("insert: code %d body %v", code, body)
+	}
+	check("after the first insert")
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the checkpoint")
+	if code, body := insertRow(t, s, h, 9002, "second durable film"); code != http.StatusOK {
+		t.Fatalf("insert: code %d body %v", code, body)
+	}
+	check("after the second insert")
+	if last["retro_wal_appends_total"] != 2 {
+		t.Fatalf("retro_wal_appends_total = %g after two inserts, want 2", last["retro_wal_appends_total"])
+	}
+}
+
+// sampleValue returns the value of an unlabelled sample in a Prometheus
+// text exposition.
+func sampleValue(t *testing.T, exposition, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no sample %s in the exposition", name)
+	return 0
 }

@@ -80,17 +80,21 @@ type CheckpointStats struct {
 // StorageStats is a point-in-time summary of the engine, exported by the
 // serving layer's /v1/stats and metrics endpoints.
 type StorageStats struct {
-	Dir             string
-	Epoch           uint64           // current checkpoint epoch
-	Segments        int              // delta segments in the manifest chain
-	PendingRows     int              // rows logged since the last checkpoint
-	WAL             storage.WALStats // active log counters
-	Checkpoints     uint64           // checkpoints taken by this handle
-	Compactions     uint64           // of which compactions
-	ReplayedRecords int              // WAL records replayed at open
-	ReplayedRows    int              // rows those records carried
-	WALTruncated    bool             // open cut a torn record off the log
-	LastCheckpoint  CheckpointStats  // most recent non-skipped checkpoint
+	Dir         string
+	Epoch       uint64 // current checkpoint epoch
+	Segments    int    // delta segments in the manifest chain
+	PendingRows int    // rows logged since the last checkpoint
+	// WAL describes the active log. Its Appends, Syncs and SyncNanos are
+	// totals over every log this handle has written, so they only grow
+	// across the rotation at each checkpoint; Bytes, Records and LastSeq
+	// describe the active log alone.
+	WAL             storage.WALStats
+	Checkpoints     uint64          // checkpoints taken by this handle
+	Compactions     uint64          // of which compactions
+	ReplayedRecords int             // WAL records replayed at open
+	ReplayedRows    int             // rows those records carried
+	WALTruncated    bool            // open cut a torn record off the log
+	LastCheckpoint  CheckpointStats // most recent non-skipped checkpoint
 }
 
 // StorageEngine binds a Session to a durable data directory. The engine
@@ -128,6 +132,10 @@ type StorageEngine struct {
 	// replNotify is closed (and replaced) on every durable append, waking
 	// long-poll replication streams waiting for new records.
 	replNotify chan struct{}
+
+	// retired sums the activity counters of the logs that checkpoints
+	// rotated out, which Stats adds to the active log's.
+	retired storage.WALStats
 
 	replayedRecords int
 	replayedRows    int
@@ -529,6 +537,10 @@ func (e *StorageEngine) Checkpoint() (CheckpointStats, error) {
 	oldWAL := e.wal
 	oldWAL.Close()
 	os.Remove(oldWAL.Path())
+	old := oldWAL.Stats()
+	e.retired.Appends += old.Appends
+	e.retired.Syncs += old.Syncs
+	e.retired.SyncNanos += old.SyncNanos
 	if compact {
 		storage.CleanDir(e.dir, newMan) // old base + chain are now orphans
 		e.compactions++
@@ -648,12 +660,16 @@ func (e *StorageEngine) OpenReplicaFile(name string) (*os.File, error) {
 func (e *StorageEngine) Stats() StorageStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	wal := e.wal.Stats()
+	wal.Appends += e.retired.Appends
+	wal.Syncs += e.retired.Syncs
+	wal.SyncNanos += e.retired.SyncNanos
 	return StorageStats{
 		Dir:             e.dir,
 		Epoch:           e.man.Epoch,
 		Segments:        len(e.man.Segments),
 		PendingRows:     e.pendingRows,
-		WAL:             e.wal.Stats(),
+		WAL:             wal,
 		Checkpoints:     e.checkpoints,
 		Compactions:     e.compactions,
 		ReplayedRecords: e.replayedRecords,

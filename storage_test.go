@@ -292,6 +292,35 @@ func TestStorageCompaction(t *testing.T) {
 	}
 }
 
+// TestStorageWALCountersSurviveCheckpoint: the engine's append and sync
+// counts are totals over every log it has written, so the rotation at a
+// checkpoint does not reset them; the byte count is the active log's.
+func TestStorageWALCountersSurviveCheckpoint(t *testing.T) {
+	e := openFixtureStorage(t, t.TempDir(), StorageOptions{})
+	defer e.Close()
+	s := e.Session()
+	if err := s.Insert("movies", []Value{Int(5), Text("matrix"), Text("usa")}); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats().WAL
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rotated := e.Stats().WAL
+	if rotated.Appends != before.Appends || rotated.Syncs < before.Syncs || rotated.SyncNanos < before.SyncNanos {
+		t.Fatalf("counters went back at the checkpoint: %+v, then %+v", before, rotated)
+	}
+	if rotated.Bytes >= before.Bytes {
+		t.Fatalf("WAL bytes %d after rotation, %d before: want the fresh log's size", rotated.Bytes, before.Bytes)
+	}
+	if err := s.Insert("movies", []Value{Int(6), Text("alien"), Text("usa")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().WAL.Appends; got != 2 {
+		t.Fatalf("WAL appends = %d after append, checkpoint, append; want 2", got)
+	}
+}
+
 func TestStorageWALFailureWithholdsAck(t *testing.T) {
 	dir := t.TempDir()
 	failing := false
