@@ -6,8 +6,7 @@
 //	retro-bench -perf BENCH_5.json
 //
 // Output is one aligned text table per experiment, with the expected
-// shape (from the paper) noted beneath; EXPERIMENTS.md records a full
-// paper-vs-measured comparison. -perf runs the quantized-vs-exact
+// shape (from the paper) noted beneath. -perf runs the quantized-vs-exact
 // serving benchmarks on the shared 50k-value world and writes a
 // machine-readable JSON report (ns/op, allocs/op, recall@10), tracking
 // the perf trajectory across PRs.

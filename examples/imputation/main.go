@@ -14,8 +14,8 @@ import (
 )
 
 func main() {
-	// Synthetic Google-Play-like world (a stand-in for the Kaggle CSVs;
-	// see DESIGN.md). The generator also returns the ground truth.
+	// Synthetic Google-Play-like world (a stand-in for the Kaggle CSVs
+	// §5.5.2 uses). The generator also returns the ground truth.
 	world := datagen.GooglePlay(datagen.GooglePlayConfig{Apps: 260, Dim: 48, Seed: 7})
 
 	// Train embeddings WITHOUT the category column and the genre

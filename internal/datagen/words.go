@@ -2,8 +2,9 @@
 // a "pre-trained" word embedding with topical structure, multi-word
 // phrases and a controlled out-of-vocabulary rate, plus TMDB-like and
 // Google-Play-like databases whose latent variables plant the signal
-// pathways each paper experiment relies on (see DESIGN.md §1 for the
-// substitution argument). Everything is deterministic under a seed.
+// pathways each paper experiment relies on; the tests in datagen_test.go
+// check that each planted signal is there. Everything is deterministic
+// under a seed.
 package datagen
 
 import (

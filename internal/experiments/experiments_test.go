@@ -10,8 +10,9 @@ import (
 )
 
 // Tiny-scale execution tests keep the whole suite runnable in CI; the
-// shape assertions that need statistical power live in the bench harness
-// and EXPERIMENTS.md.
+// shape assertions that need statistical power are left to
+// cmd/retro-bench at -scale small or full, which prints the paper's
+// expected shape beneath each table.
 
 func TestScalePresets(t *testing.T) {
 	for _, name := range []string{"tiny", "small", "full", ""} {

@@ -1,7 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§5) on the synthetic worlds of internal/datagen. Each
 // experiment returns a Report carrying the same rows/series the paper
-// prints, and the EXPERIMENTS.md shape assertions are checked in tests.
+// prints, and experiments_test.go checks each report's shape at
+// TinyScale.
 package experiments
 
 import (

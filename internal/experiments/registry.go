@@ -24,7 +24,7 @@ var Registry = map[string]Runner{
 	"fig12b": Fig12b,
 	"fig13":  Fig13,
 	"fig14":  Fig14,
-	// Extra ablations beyond the paper's artefacts (DESIGN.md §2).
+	// Extra ablations beyond the paper's artefacts (TestAblationCombineRuns).
 	"ablation-combine": AblationCombine,
 }
 

@@ -36,7 +36,8 @@ type Scale struct {
 }
 
 // SmallScale is the default configuration: every experiment shape in
-// minutes on one core. Documented per experiment in EXPERIMENTS.md.
+// minutes on one core. The paper's sizes are noted beside the fields of
+// Scale.
 func SmallScale() Scale {
 	return Scale{
 		Name:        "small",
