@@ -2,22 +2,18 @@ package retro
 
 // One testing.B benchmark per table and figure of the paper's evaluation
 // (run the full parameter sweeps with cmd/retro-bench), plus
-// micro-benchmarks of the core kernels and ablations of single design
-// choices.
+// micro-benchmarks of the solvers, the write path, cold start and SQL.
 //
 //	go test -bench=. -benchmem
 
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 
-	"github.com/retrodb/retro/internal/ann"
 	"github.com/retrodb/retro/internal/core"
 	"github.com/retrodb/retro/internal/datagen"
-	"github.com/retrodb/retro/internal/embed"
 	"github.com/retrodb/retro/internal/experiments"
 	"github.com/retrodb/retro/internal/extract"
 	"github.com/retrodb/retro/internal/tokenize"
@@ -156,36 +152,6 @@ func BenchmarkExtraction(b *testing.B) {
 	}
 }
 
-// BenchmarkTokenizerTrie ablates the tokenizer: trie longest-match versus
-// naive whitespace lookup (TestTokenizeLongestMatch in internal/tokenize
-// holds the correctness side).
-func BenchmarkTokenizerTrie(b *testing.B) {
-	w := datagen.TMDB(datagen.TMDBConfig{Movies: 100, Dim: 48, Seed: 1})
-	ex, err := extract.FromDB(w.DB, extract.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tok := tokenize.New(w.Embedding)
-	texts := make([]string, 0, len(ex.Values))
-	for _, v := range ex.Values {
-		texts = append(texts, v.Text)
-	}
-	b.Run("trie-longest-match", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, t := range texts {
-				tok.InitialVector(t)
-			}
-		}
-	})
-	b.Run("whitespace", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, t := range texts {
-				tok.WhitespaceInitialVector(t)
-			}
-		}
-	})
-}
-
 // BenchmarkRetrofitEndToEnd measures the public API path: extraction,
 // tokenization, problem assembly and RN solve.
 func BenchmarkRetrofitEndToEnd(b *testing.B) {
@@ -247,97 +213,6 @@ func BenchmarkSessionInsert(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*100), "ns/row")
-		})
-	}
-}
-
-// --- Similarity search: brute force vs HNSW --------------------------------
-
-const annBenchDim = 32
-
-// annBenchWorld builds a store of n vectors plus a fixed query set. The
-// vectors are a cluster mixture, mirroring how retrofitted embeddings
-// group by column and relation neighbourhood rather than filling the
-// space uniformly.
-func annBenchWorld(n int) (*embed.Store, [][]float64) {
-	rng := rand.New(rand.NewSource(42))
-	centers := make([][]float64, 256)
-	for ci := range centers {
-		c := make([]float64, annBenchDim)
-		for j := range c {
-			c[j] = rng.NormFloat64()
-		}
-		centers[ci] = c
-	}
-	point := func() []float64 {
-		c := centers[rng.Intn(len(centers))]
-		v := make([]float64, annBenchDim)
-		for j := range v {
-			v[j] = c[j] + 0.25*rng.NormFloat64()
-		}
-		return v
-	}
-	s := embed.NewStore(annBenchDim)
-	for i := 0; i < n; i++ {
-		s.Add(fmt.Sprintf("v%07d", i), point())
-	}
-	queries := make([][]float64, 64)
-	for qi := range queries {
-		queries[qi] = point()
-	}
-	return s, queries
-}
-
-var annBenchSizes = []int{10_000, 50_000, 200_000}
-
-// BenchmarkTopKBrute is the exact O(n·d) scan the library used before the
-// serving subsystem existed.
-func BenchmarkTopKBrute(b *testing.B) {
-	for _, n := range annBenchSizes {
-		s, queries := annBenchWorld(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if got := s.TopKExact(queries[i%len(queries)], 10, nil); len(got) != 10 {
-					b.Fatal("short result")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTopKHNSW measures the approximate path (index build excluded;
-// it is forced before the timer starts) and reports recall@10 against the
-// exact scan as a custom metric. The serving acceptance bar is >=10x over
-// brute force at 50k vectors with recall@10 >= 0.95.
-func BenchmarkTopKHNSW(b *testing.B) {
-	for _, n := range annBenchSizes {
-		s, queries := annBenchWorld(n)
-		s.EnableANN(1, ann.Params{})
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s.TopK(queries[0], 10, nil) // build the index outside the timing
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if got := s.TopK(queries[i%len(queries)], 10, nil); len(got) != 10 {
-					b.Fatal("short result")
-				}
-			}
-			b.StopTimer()
-			hits, total := 0, 0
-			for _, q := range queries[:16] {
-				want := map[int]bool{}
-				for _, m := range s.TopKExact(q, 10, nil) {
-					want[m.ID] = true
-				}
-				for _, m := range s.TopK(q, 10, nil) {
-					if want[m.ID] {
-						hits++
-					}
-				}
-				total += 10
-			}
-			b.ReportMetric(float64(hits)/float64(total), "recall@10")
 		})
 	}
 }

@@ -1,15 +1,12 @@
 // Command retro-bench regenerates the paper's tables and figures on the
-// synthetic worlds, and measures the serving-path performance baseline.
+// synthetic worlds.
 //
 //	retro-bench [-scale tiny|small|full] [-seed N] all
 //	retro-bench table1 table2 fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12a fig12b fig13 fig14
-//	retro-bench -perf BENCH_5.json
 //
 // Output is one aligned text table per experiment, with the expected
-// shape (from the paper) noted beneath. -perf runs the quantized-vs-exact
-// serving benchmarks on the shared 50k-value world and writes a
-// machine-readable JSON report (ns/op, allocs/op, recall@10), tracking
-// the perf trajectory across PRs.
+// shape (from the paper) noted beneath. Serving and training performance
+// is measured by the end-to-end benchmark in bench/.
 package main
 
 import (
@@ -24,16 +21,7 @@ import (
 func main() {
 	scaleName := flag.String("scale", "small", "tiny, small or full")
 	seed := flag.Int64("seed", 1, "world and sampling seed")
-	perfPath := flag.String("perf", "", "measure the serving perf baseline and write this JSON report (e.g. BENCH_5.json), then exit")
 	flag.Parse()
-
-	if *perfPath != "" {
-		if err := runPerf(*perfPath); err != nil {
-			fmt.Fprintln(os.Stderr, "retro-bench: perf:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	scale, ok := experiments.ByName(*scaleName)
 	if !ok {

@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -71,5 +72,33 @@ func BenchmarkANNTopKAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = ix.TopKAppend(queries[i%len(queries)], 10, nil, dst)
+	}
+}
+
+// BenchmarkANNTopKMany is the batch endpoint's search against the same
+// index at blocks of 1, 16 and 64 queries, k = 10: one op is one block,
+// and ns/query is what a query costs as the block fills.
+func BenchmarkANNTopKMany(b *testing.B) {
+	vectors := clusteredVectors(benchN+256, benchDim, 7)
+	ix := benchBuild(b, vectors[:benchN])
+	queries := vectors[benchN:]
+	for _, batch := range []int{1, 16, 64} {
+		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
+			ks := make([]int, batch)
+			for i := range ks {
+				ks[i] = 10
+			}
+			block := make([][]float64, batch)
+			var dst [][]Result
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range block {
+					block[j] = queries[(i*batch+j)%len(queries)]
+				}
+				dst = ix.TopKManyAppend(block, ks, nil, dst)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/query")
+		})
 	}
 }

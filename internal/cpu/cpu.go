@@ -116,19 +116,3 @@ func SetLevel(l Level) Level {
 	active = l
 	return active
 }
-
-// Features describes the detected hardware and the active dispatch
-// level for telemetry and perf reports, e.g. "avx2+fma (active: sse2)".
-func Features() string {
-	var b strings.Builder
-	b.WriteString(detected.String())
-	if hasFMA {
-		b.WriteString("+fma")
-	}
-	if active != detected {
-		b.WriteString(" (active: ")
-		b.WriteString(active.String())
-		b.WriteString(")")
-	}
-	return b.String()
-}

@@ -127,8 +127,8 @@ func (t *Tokenizer) InitialVector(text string) ([]float64, bool) {
 // Store returns the embedding store this tokenizer resolves against.
 func (t *Tokenizer) Store() *embed.Store { return t.store }
 
-// WhitespaceInitialVector is the naive §3.1 strawman used for the
-// tokenizer ablation: every whitespace token is looked up individually
+// WhitespaceInitialVector is the naive §3.1 strawman the phrase lookup
+// is tested against: every whitespace token is looked up individually
 // (no multi-word phrases), and the centroid of the hits is returned.
 func (t *Tokenizer) WhitespaceInitialVector(text string) ([]float64, bool) {
 	out := make([]float64, t.store.Dim())

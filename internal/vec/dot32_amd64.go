@@ -4,24 +4,13 @@ package vec
 
 import "github.com/retrodb/retro/internal/cpu"
 
-// The float32 reduction kernels in dot32_amd64.s widen each 4-lane
-// float32 block with VCVTPS2PD in registers and fuse into float64 FMA
-// accumulators: half the memory traffic of the float64 kernels, float64
-// accumulation throughout. Axpy32 stays in float32 (VFMADD231PS): each
-// element is independent, so the per-element FMA is exact to one
-// float32 rounding. Only reachable when cpu.HasFMA().
+// The float32 dot kernel in dot32_amd64.s widens each 4-lane float32
+// block with VCVTPS2PD in registers and fuses into float64 FMA
+// accumulators: half the memory traffic of the float64 kernel, float64
+// accumulation throughout. Only reachable when cpu.HasFMA().
 
 //go:noescape
 func dot32BlocksFMA(a, b *float32, blocks int) float64
-
-//go:noescape
-func sqdist32BlocksFMA(a, b *float32, blocks int) float64
-
-//go:noescape
-func cosine32BlocksFMA(a, b *float32, blocks int, sums *[3]float64)
-
-//go:noescape
-func axpy32BlocksFMA(dst, x *float32, alpha float32, blocks int)
 
 func dot32(a, b []float32) float64 {
 	if !cpu.HasFMA() {
@@ -36,53 +25,4 @@ func dot32(a, b []float32) float64 {
 		s += float64(a[i]) * float64(b[i])
 	}
 	return s
-}
-
-func sqdist32(a, b []float32) float64 {
-	if !cpu.HasFMA() {
-		return sqdist32Generic(a, b)
-	}
-	n := len(a)
-	var s float64
-	if blocks := n / 8; blocks > 0 {
-		s = sqdist32BlocksFMA(&a[0], &b[0], blocks)
-	}
-	for i := n &^ 7; i < n; i++ {
-		d := float64(a[i]) - float64(b[i])
-		s += d * d
-	}
-	return s
-}
-
-func cosine32(a, b []float32) (d, na, nb float64) {
-	if !cpu.HasFMA() {
-		return cosine32Generic(a, b)
-	}
-	n := len(a)
-	var sums [3]float64
-	if blocks := n / 8; blocks > 0 {
-		cosine32BlocksFMA(&a[0], &b[0], blocks, &sums)
-	}
-	d, na, nb = sums[0], sums[1], sums[2]
-	for i := n &^ 7; i < n; i++ {
-		x, y := float64(a[i]), float64(b[i])
-		d += x * y
-		na += x * x
-		nb += y * y
-	}
-	return d, na, nb
-}
-
-func axpy32(dst []float32, alpha float32, x []float32) {
-	if !cpu.HasFMA() {
-		axpy32Generic(dst, alpha, x)
-		return
-	}
-	n := len(dst)
-	if blocks := n / 8; blocks > 0 {
-		axpy32BlocksFMA(&dst[0], &x[0], alpha, blocks)
-	}
-	for i := n &^ 7; i < n; i++ {
-		dst[i] += alpha * x[i]
-	}
 }

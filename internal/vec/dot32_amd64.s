@@ -37,118 +37,3 @@ loop:
 	VZEROUPPER
 	MOVSD        X6, ret+24(FP)
 	RET
-
-// func sqdist32BlocksFMA(a, b *float32, blocks int) float64
-//
-// Sums (a[i]-b[i])^2 over blocks*8 float32 elements: widen both sides,
-// subtract in float64, square-accumulate with FMA.
-TEXT ·sqdist32BlocksFMA(SB), NOSPLIT, $0-32
-	MOVQ   a+0(FP), SI
-	MOVQ   b+8(FP), DI
-	MOVQ   blocks+16(FP), CX
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-
-loop:
-	VCVTPS2PD   (SI), Y0
-	VCVTPS2PD   (DI), Y2
-	VSUBPD      Y2, Y0, Y0
-	VFMADD231PD Y0, Y0, Y6
-	VCVTPS2PD   16(SI), Y1
-	VCVTPS2PD   16(DI), Y3
-	VSUBPD      Y3, Y1, Y1
-	VFMADD231PD Y1, Y1, Y7
-	ADDQ        $32, SI
-	ADDQ        $32, DI
-	DECQ        CX
-	JNZ         loop
-
-	VADDPD       Y7, Y6, Y6
-	VEXTRACTF128 $1, Y6, X0
-	VADDPD       X0, X6, X6
-	VPERMILPD    $1, X6, X0
-	VADDSD       X0, X6, X6
-	VZEROUPPER
-	MOVSD        X6, ret+24(FP)
-	RET
-
-// func cosine32BlocksFMA(a, b *float32, blocks int, sums *[3]float64)
-//
-// One fused pass accumulating dot(a,b), ||a||^2 and ||b||^2 over
-// blocks*8 float32 elements into sums[0..2]. Three independent
-// accumulator pairs (dot: Y6/Y7, na: Y8/Y9, nb: Y10/Y11); a and b are
-// each read exactly once.
-TEXT ·cosine32BlocksFMA(SB), NOSPLIT, $0-32
-	MOVQ   a+0(FP), SI
-	MOVQ   b+8(FP), DI
-	MOVQ   blocks+16(FP), CX
-	MOVQ   sums+24(FP), R8
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	VXORPD Y10, Y10, Y10
-	VXORPD Y11, Y11, Y11
-
-loop:
-	VCVTPS2PD   (SI), Y0
-	VCVTPS2PD   (DI), Y1
-	VFMADD231PD Y1, Y0, Y6
-	VFMADD231PD Y0, Y0, Y8
-	VFMADD231PD Y1, Y1, Y10
-	VCVTPS2PD   16(SI), Y2
-	VCVTPS2PD   16(DI), Y3
-	VFMADD231PD Y3, Y2, Y7
-	VFMADD231PD Y2, Y2, Y9
-	VFMADD231PD Y3, Y3, Y11
-	ADDQ        $32, SI
-	ADDQ        $32, DI
-	DECQ        CX
-	JNZ         loop
-
-	VADDPD       Y7, Y6, Y6
-	VEXTRACTF128 $1, Y6, X0
-	VADDPD       X0, X6, X6
-	VPERMILPD    $1, X6, X0
-	VADDSD       X0, X6, X6
-	MOVSD        X6, (R8)
-
-	VADDPD       Y9, Y8, Y8
-	VEXTRACTF128 $1, Y8, X0
-	VADDPD       X0, X8, X8
-	VPERMILPD    $1, X8, X0
-	VADDSD       X0, X8, X8
-	MOVSD        X8, 8(R8)
-
-	VADDPD       Y11, Y10, Y10
-	VEXTRACTF128 $1, Y10, X0
-	VADDPD       X0, X10, X10
-	VPERMILPD    $1, X10, X0
-	VADDSD       X0, X10, X10
-	MOVSD        X10, 16(R8)
-	VZEROUPPER
-	RET
-
-// func axpy32BlocksFMA(dst, x *float32, alpha float32, blocks int)
-//
-// dst[i] += alpha*x[i] over blocks*8 float32 elements, one 8-lane
-// float32 FMA per block. Elements are independent, so the only
-// difference from the scalar kernel is the fused single rounding.
-TEXT ·axpy32BlocksFMA(SB), NOSPLIT, $0-32
-	MOVQ         dst+0(FP), DI
-	MOVQ         x+8(FP), SI
-	VBROADCASTSS alpha+16(FP), Y5
-	MOVQ         blocks+24(FP), CX
-
-loop:
-	VMOVUPS     (SI), Y0
-	VMOVUPS     (DI), Y1
-	VFMADD231PS Y0, Y5, Y1
-	VMOVUPS     Y1, (DI)
-	ADDQ        $32, SI
-	ADDQ        $32, DI
-	DECQ        CX
-	JNZ         loop
-
-	VZEROUPPER
-	RET

@@ -3,9 +3,3 @@
 package vec
 
 func dot32(a, b []float32) float64 { return dot32Generic(a, b) }
-
-func sqdist32(a, b []float32) float64 { return sqdist32Generic(a, b) }
-
-func cosine32(a, b []float32) (d, na, nb float64) { return cosine32Generic(a, b) }
-
-func axpy32(dst []float32, alpha float32, x []float32) { axpy32Generic(dst, alpha, x) }

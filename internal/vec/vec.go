@@ -247,20 +247,6 @@ func Normalize(a []float64) float64 {
 	return n
 }
 
-// Centroid computes the arithmetic mean of the given vectors into dst.
-// It panics if vectors is empty or dimensions mismatch. This is the c_i
-// computation of eq. (5).
-func Centroid(dst []float64, vectors ...[]float64) {
-	if len(vectors) == 0 {
-		panic("vec: Centroid of no vectors")
-	}
-	Zero(dst)
-	for _, v := range vectors {
-		Axpy(dst, 1, v)
-	}
-	Scale(dst, 1/float64(len(vectors)))
-}
-
 // ArgMax returns the index of the largest element of a, or -1 for an
 // empty slice. Ties resolve to the lowest index.
 func ArgMax(a []float64) int {

@@ -1,16 +1,15 @@
 // Float32 kernels for the serving store. The serving pipeline holds its
 // matrix and norms as float32 (snapshots already round to float32 on
 // disk, so the narrower type loses nothing after one save/load cycle and
-// halves memory traffic on the distance kernels). Reductions — Dot32,
-// SquaredDistance32, Cosine32, Norm32 — accumulate in float64, so the
-// returned scores stay within ulps of the float64 kernels on the same
-// (float32-rounded) inputs; elementwise kernels (Axpy32, Scale32, Add32)
-// round per element, error ≤ 2^-24 relative.
+// halves memory traffic on the distance kernels). The reductions — Dot32
+// and Norm32 — accumulate in float64, so the returned scores stay within
+// ulps of the float64 kernels on the same (float32-rounded) inputs.
+// Normalize32 rounds per element; Widen and Narrow cross the store
+// boundary.
 //
-// On amd64 with AVX2+FMA the reductions widen with VCVTPS2PD in
-// registers and fuse into float64 FMA accumulators (see dot32_amd64.s):
-// half the memory traffic of the float64 kernels with float64-grade
-// accumulation.
+// On amd64 with AVX2+FMA Dot32 widens with VCVTPS2PD in registers and
+// fuses into float64 FMA accumulators (see dot32_amd64.s): half the
+// memory traffic of the float64 kernel with float64-grade accumulation.
 package vec
 
 import (
@@ -49,140 +48,6 @@ func dot32Generic(a, b []float32) float64 {
 // Norm32 returns the Euclidean (L2) norm of a, accumulated in float64.
 func Norm32(a []float32) float64 {
 	return math.Sqrt(Dot32(a, a))
-}
-
-// SquaredDistance32 returns ||a-b||^2 with float64 accumulation.
-func SquaredDistance32(a, b []float32) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: SquaredDistance32 length mismatch %d != %d", len(a), len(b)))
-	}
-	return sqdist32(a, b)
-}
-
-func sqdist32Generic(a, b []float32) float64 {
-	b = b[:len(a)]
-	var s0, s1, s2, s3 float64
-	for len(a) >= 4 && len(b) >= 4 {
-		d0 := float64(a[0]) - float64(b[0])
-		d1 := float64(a[1]) - float64(b[1])
-		d2 := float64(a[2]) - float64(b[2])
-		d3 := float64(a[3]) - float64(b[3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-		a, b = a[4:], b[4:]
-	}
-	for i := range a {
-		d := float64(a[i]) - float64(b[i])
-		s0 += d * d
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// Cosine32 returns the cosine similarity of a and b. Like Cosine, a zero
-// vector has similarity 0 with everything, and the dot product and both
-// squared norms come from one fused pass over the data.
-func Cosine32(a, b []float32) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: Cosine32 length mismatch %d != %d", len(a), len(b)))
-	}
-	d, na, nb := cosine32(a, b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return d / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// cosine32Generic returns the three partial sums (dot, ||a||^2, ||b||^2)
-// of the fused cosine pass; the caller combines them.
-func cosine32Generic(a, b []float32) (d, na, nb float64) {
-	b = b[:len(a)]
-	var d0, d1, na0, na1, nb0, nb1 float64
-	for len(a) >= 2 && len(b) >= 2 {
-		x0, y0 := float64(a[0]), float64(b[0])
-		x1, y1 := float64(a[1]), float64(b[1])
-		d0 += x0 * y0
-		d1 += x1 * y1
-		na0 += x0 * x0
-		na1 += x1 * x1
-		nb0 += y0 * y0
-		nb1 += y1 * y1
-		a, b = a[2:], b[2:]
-	}
-	for i := range a {
-		x, y := float64(a[i]), float64(b[i])
-		d0 += x * y
-		na0 += x * x
-		nb0 += y * y
-	}
-	return d0 + d1, na0 + na1, nb0 + nb1
-}
-
-// Axpy32 computes dst += alpha*x element-wise in float32. Each element is
-// independent, so the result is the correctly rounded float32 of the
-// per-element FMA (or its two-rounding scalar equivalent) — relative
-// error ≤ 2^-24, far inside the serving tolerance.
-func Axpy32(dst []float32, alpha float32, x []float32) {
-	if len(dst) != len(x) {
-		panic(fmt.Sprintf("vec: Axpy32 length mismatch %d != %d", len(dst), len(x)))
-	}
-	axpy32(dst, alpha, x)
-}
-
-func axpy32Generic(dst []float32, alpha float32, x []float32) {
-	x = x[:len(dst)]
-	for len(dst) >= 4 && len(x) >= 4 {
-		dst[0] += alpha * x[0]
-		dst[1] += alpha * x[1]
-		dst[2] += alpha * x[2]
-		dst[3] += alpha * x[3]
-		dst, x = dst[4:], x[4:]
-	}
-	for i := range dst {
-		dst[i] += alpha * x[i]
-	}
-}
-
-// Scale32 multiplies every element of a by alpha in place.
-func Scale32(a []float32, alpha float32) {
-	for i := range a {
-		a[i] *= alpha
-	}
-}
-
-// Add32 computes dst = a + b. dst may alias a or b.
-func Add32(dst, a, b []float32) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("vec: Add32 length mismatch")
-	}
-	for i := range a {
-		dst[i] = a[i] + b[i]
-	}
-}
-
-// Zero32 sets every element of a to 0.
-func Zero32(a []float32) {
-	for i := range a {
-		a[i] = 0
-	}
-}
-
-// Clone32 returns a fresh copy of a.
-func Clone32(a []float32) []float32 {
-	out := make([]float32, len(a))
-	copy(out, a)
-	return out
-}
-
-// IsZero32 reports whether every element of a is exactly 0.
-func IsZero32(a []float32) bool {
-	for _, v := range a {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Normalize32 scales a to unit L2 norm in place (norm computed in

@@ -106,23 +106,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestCentroid(t *testing.T) {
-	dst := make([]float64, 2)
-	Centroid(dst, []float64{0, 0}, []float64{2, 4})
-	if dst[0] != 1 || dst[1] != 2 {
-		t.Fatalf("Centroid = %v", dst)
-	}
-}
-
-func TestCentroidEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Centroid(make([]float64, 2))
-}
-
 func TestIsZeroCloneFill(t *testing.T) {
 	if !IsZero([]float64{0, 0}) || IsZero([]float64{0, 1e-300}) {
 		t.Fatal("IsZero misbehaves")
