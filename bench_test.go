@@ -2,7 +2,8 @@ package retro
 
 // One testing.B benchmark per table and figure of the paper's evaluation
 // (run the full parameter sweeps with cmd/retro-bench), plus
-// micro-benchmarks of the solvers, the write path, cold start and SQL.
+// micro-benchmarks of extraction, the solvers, the write path, cold start
+// and SQL.
 //
 //	go test -bench=. -benchmem
 
