@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/retrodb/retro/internal/extract"
 	"github.com/retrodb/retro/internal/reldb"
+	"github.com/retrodb/retro/internal/tokenize"
 	"github.com/retrodb/retro/internal/vec"
 )
 
@@ -47,6 +49,42 @@ func randomProblem(t testing.TB, rng *rand.Rand, n, dim, numCats, numRels int) *
 	return p
 }
 
+// grownFixture is growFixture after inserting rows movies one by one,
+// every centroid refreshed: its groups carry overflow adjacency, folded
+// back into CSR once enough rows went in, and wantCompacted says which
+// of the two the caller needs.
+func grownFixture(t *testing.T, rows int, wantCompacted bool) (*reldb.DB, *extract.Extraction, *Problem, *tokenize.Tokenizer) {
+	t.Helper()
+	db, ex, p, tok := growFixture(t)
+	baseN := p.N
+	for i := 0; i < rows; i++ {
+		insertAndGrow(t, db, ex, p, tok, "movies", [][]reldb.Value{
+			{reldb.Int(int64(100 + i)), reldb.Text(fmt.Sprintf("film %d", i)), reldb.Text("usa")},
+		})
+	}
+	all := make([]int, p.N)
+	for i := range all {
+		all[i] = i
+	}
+	p.RefreshCentroids(all)
+	overflow, compacted := false, false
+	for gi := range p.Groups {
+		overflow = overflow || p.Groups[gi].extraEdges > 0
+		compacted = compacted || len(p.Groups[gi].RowPtr) > baseN+1
+	}
+	if !overflow || compacted != wantCompacted {
+		t.Fatalf("%d grown rows: overflow=%v compacted=%v", rows, overflow, compacted)
+	}
+	return db, ex, p, tok
+}
+
+// grownProblem is the problem of grownFixture.
+func grownProblem(t *testing.T, rows int, wantCompacted bool) *Problem {
+	t.Helper()
+	_, _, p, _ := grownFixture(t, rows, wantCompacted)
+	return p
+}
+
 // TestSolveMatchesReference pins the one driver from three sides, for
 // every variant, worker count, problem shape and with each of the
 // repulsion and centroid terms on and off: W is bit-equal across worker
@@ -55,36 +93,13 @@ func randomProblem(t testing.TB, rng *rand.Rand, n, dim, numCats, numRels int) *
 // rows delta repair's kernel call produces from the same vectors and
 // their target sums (so full solve = repair).
 func TestSolveMatchesReference(t *testing.T) {
-	grown := func(rows int, wantCompacted bool) *Problem {
-		db, ex, p, tok := growFixture(t)
-		baseN := p.N
-		for i := 0; i < rows; i++ {
-			insertAndGrow(t, db, ex, p, tok, "movies", [][]reldb.Value{
-				{reldb.Int(int64(100 + i)), reldb.Text(fmt.Sprintf("film %d", i)), reldb.Text("usa")},
-			})
-		}
-		all := make([]int, p.N)
-		for i := range all {
-			all[i] = i
-		}
-		p.RefreshCentroids(all)
-		overflow, compacted := false, false
-		for gi := range p.Groups {
-			overflow = overflow || p.Groups[gi].extraEdges > 0
-			compacted = compacted || len(p.Groups[gi].RowPtr) > baseN+1
-		}
-		if !overflow || compacted != wantCompacted {
-			t.Fatalf("%d grown rows: overflow=%v compacted=%v", rows, overflow, compacted)
-		}
-		return p
-	}
 	problems := []struct {
 		name string
 		p    *Problem
 	}{
 		{"fresh", randomProblem(t, rand.New(rand.NewSource(29)), 40, 5, 3, 3)},
-		{"overflow", grown(3, false)},
-		{"compacted", grown(200, true)},
+		{"overflow", grownProblem(t, 3, false)},
+		{"compacted", grownProblem(t, 200, true)},
 	}
 	for _, pc := range problems {
 		p := pc.p
