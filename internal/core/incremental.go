@@ -25,7 +25,7 @@ type IncrementalState struct {
 // not per insert.
 func NewIncrementalState(p *Problem, w *vec.Matrix) *IncrementalState {
 	st := &IncrementalState{sums: vec.NewMatrix(len(p.Groups), p.Dim)}
-	targetSums(p, w, st.sums)
+	targetSums(p, w, st.sums, sharedTargetSets(p))
 	return st
 }
 
@@ -88,6 +88,7 @@ func UpdateIncremental(p *Problem, w *vec.Matrix, st *IncrementalState, dirty []
 	buf := make([]float64, p.Dim)
 	scratch := make([]float64, p.Dim)
 	diff := make([]float64, p.Dim)
+	groups := make([]int32, 0, len(p.Groups))
 
 	for sweep := 1; sweep <= opts.MaxIterations; sweep++ {
 		maxMove := 0.0
@@ -95,7 +96,8 @@ func UpdateIncremental(p *Problem, w *vec.Matrix, st *IncrementalState, dirty []
 			if i < 0 || i >= p.N {
 				continue
 			}
-			updateRow(p, h, variant, st.sums, w, i, buf, scratch)
+			groups = appendSourceGroups(groups[:0], p, i)
+			updateRow(p, h, variant, st.sums, w, i, groups, buf, scratch)
 			row := w.Row(i)
 			move := 0.0
 			for j := range diff {

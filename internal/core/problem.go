@@ -182,8 +182,7 @@ func BuildProblem(ex *extract.Extraction, tok *tokenize.Tokenizer) *Problem {
 		Labels:     make([]string, n),
 	}
 	for _, v := range ex.Values {
-		initial, _ := tok.InitialVector(v.Text)
-		copy(p.W0.Row(v.ID), initial)
+		tok.InitialVectorInto(p.W0.Row(v.ID), v.Text)
 		p.CategoryOf[v.ID] = v.Category
 		p.Labels[v.ID] = v.Text
 	}

@@ -10,23 +10,22 @@ import (
 // relation groups (eq. 16: sums holds that vector, shared by all of a
 // group's sources), and the result is normalised to unit length — the
 // division in eq. (9) — which keeps the series bounded for any
-// hyperparameter setting; a zero row stays zero. The eq. (12)/(14)
-// coefficients are computed on the fly, so one row costs
-// O(deg·dim + |R|·dim) whether it is one of N in a full iteration or one
-// of a few in a repair.
-func rnRow(p *Problem, h Hyperparams, sums, from *vec.Matrix, i int, dst []float64) {
+// hyperparameter setting; a zero row stays zero. groups lists the groups
+// node i is a source of, ascending (appendSourceGroups); no other group
+// contributes. The eq. (12)/(14) coefficients are computed on the fly, so
+// one row costs O(deg·dim + |R_i|·dim) whether it is one of N in a full
+// iteration or one of a few in a repair.
+func rnRow(p *Problem, h Hyperparams, sums, from *vec.Matrix, i int, groups []int32, dst []float64) {
 	rt := float64(p.NumRelTypes[i] + 1)
 	vec.Zero(dst)
 	vec.Axpy(dst, h.Alpha, p.W0.Row(i))
 	if beta := h.Beta / rt; beta != 0 {
 		vec.Axpy(dst, beta, p.Centroids.Row(i))
 	}
-	for gi := range p.Groups {
+	for _, g32 := range groups {
+		gi := int(g32)
 		g := &p.Groups[gi]
 		od := g.OutDeg(i)
-		if od == 0 {
-			continue
-		}
 		gamma := h.Gamma / (float64(od) * rt)
 		base, extra := g.TargetLists(i)
 		for _, j := range base {

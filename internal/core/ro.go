@@ -11,10 +11,13 @@ import (
 // row i sums (γ^r_i + γ^r̄_j)·v_j over outgoing edges (i,j). The negative
 // term runs over the complement Ẽ_r = S_r × T_r \ E_r and is computed via
 // the eq. (15) trick: the shared Σ_{k∈T_r} v_k in sums, minus the node's
-// actual neighbour sum, so one row costs O(deg·dim + |R|·dim) instead of
-// O(n·dim). The row is divided by its entry of the diagonal D, which is
-// accumulated alongside. scratch must hold dim floats.
-func roRow(p *Problem, h Hyperparams, sums, from *vec.Matrix, i int, dst, scratch []float64) {
+// actual neighbour sum, so one row costs O(deg·dim + |R_i|·dim) instead
+// of O(n·dim); each neighbour row is read once, feeding both the attraction
+// and that neighbour sum. The row is divided by its entry of the diagonal
+// D, which is accumulated alongside. groups lists the groups node i is a
+// source of, ascending (appendSourceGroups). scratch must hold dim
+// floats.
+func roRow(p *Problem, h Hyperparams, sums, from *vec.Matrix, i int, groups []int32, dst, scratch []float64) {
 	rt := float64(p.NumRelTypes[i] + 1)
 	beta := h.Beta / rt
 	vec.Zero(dst)
@@ -23,12 +26,10 @@ func roRow(p *Problem, h Hyperparams, sums, from *vec.Matrix, i int, dst, scratc
 		vec.Axpy(dst, beta, p.Centroids.Row(i))
 	}
 	denom := h.Alpha + beta
-	for gi := range p.Groups {
+	for _, g32 := range groups {
+		gi := int(g32)
 		g := &p.Groups[gi]
 		od := g.OutDeg(i)
-		if od == 0 {
-			continue
-		}
 		gammaSelf := h.Gamma / (float64(od) * rt)
 		inv := &p.Groups[g.Inverse]
 		nbrSum := scratch
@@ -36,9 +37,8 @@ func roRow(p *Problem, h Hyperparams, sums, from *vec.Matrix, i int, dst, scratc
 		attract := func(j int) {
 			// γ^r̄_j: j is a target of g, hence a source of the inverse.
 			weight := gammaSelf + h.Gamma/(float64(inv.OutDeg(j))*float64(p.NumRelTypes[j]+1))
-			vec.Axpy(dst, weight, from.Row(j))
+			vec.AxpyAcc(dst, weight, from.Row(j), nbrSum)
 			denom += weight
-			vec.Axpy(nbrSum, 1, from.Row(j))
 		}
 		base, extra := g.TargetLists(i)
 		for _, j := range base {

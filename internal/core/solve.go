@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"github.com/retrodb/retro/internal/vec"
@@ -88,15 +89,20 @@ func SolveRNParallel(p *Problem, h Hyperparams, opts ParallelOptions) *Result {
 
 // solve is the one iteration driver. Both variants are Jacobi-style —
 // every row of W^{k+1} depends only on W^k — so an iteration is: sum each
-// group's target vectors of W^k once (eqs. 15/16), then produce every row
-// of W^{k+1} with updateRow, the kernel delta repair also runs. The row
-// partition changes no floating-point evaluation order within a row or
-// within a target sum, so W is bit-identical for every worker count.
+// distinct target set's vectors of W^k once (eqs. 15/16), then produce
+// every row of W^{k+1} with updateRow, the kernel delta repair also runs.
+// Which groups share a target set and which groups each node is a source
+// of depend only on the problem, so both are worked out once per solve.
+// The row partition changes no floating-point evaluation order within a
+// row or within a target sum, so W is bit-identical for every worker
+// count.
 func solve(p *Problem, h Hyperparams, variant Variant, opts SolveOptions, workers int) *Result {
 	h = h.withDefaults()
 	cur := p.W0.Clone()
 	next := vec.NewMatrix(p.N, p.Dim)
 	sums := vec.NewMatrix(len(p.Groups), p.Dim)
+	shared := sharedTargetSets(p)
+	groupPtr, groupList := sourceGroupLists(p)
 	scratch := vec.NewMatrix(workers, p.Dim)
 	var lossWeights *weights
 	if opts.TrackLoss {
@@ -106,11 +112,12 @@ func solve(p *Problem, h Hyperparams, variant Variant, opts SolveOptions, worker
 
 	for iter := 0; iter < h.Iterations; iter++ {
 		if h.Delta != 0 { // no kernel reads the sums without a repulsion term
-			targetSums(p, cur, sums)
+			targetSums(p, cur, sums, shared)
 		}
 		parallelRows(p.N, workers, func(worker, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				updateRow(p, h, variant, sums, cur, i, next.Row(i), scratch.Row(worker))
+				groups := groupList[groupPtr[i]:groupPtr[i+1]]
+				updateRow(p, h, variant, sums, cur, i, groups, next.Row(i), scratch.Row(worker))
 			}
 		})
 		cur, next = next, cur
@@ -122,12 +129,41 @@ func solve(p *Problem, h Hyperparams, variant Variant, opts SolveOptions, worker
 	return res
 }
 
-// targetSums overwrites row g of sums with Σ_{k∈T_g} w_k, the vector the
-// repulsion terms of every source of group g share.
-func targetSums(p *Problem, w, sums *vec.Matrix) {
+// sharedTargetSets maps every group to the first group whose target set
+// equals its own, itself when no earlier group's does. Sets are compared
+// member by member once their TargetCounts agree, so two groups share a
+// sum only when they sum the same rows.
+func sharedTargetSets(p *Problem) []int {
+	first := make([]int, len(p.Groups))
+	var distinct []int
 	for gi := range p.Groups {
 		g := &p.Groups[gi]
+		first[gi] = gi
+		for _, r := range distinct {
+			if rg := &p.Groups[r]; rg.TargetCount == g.TargetCount && slices.Equal(rg.TargetSet, g.TargetSet) {
+				first[gi] = r
+				break
+			}
+		}
+		if first[gi] == gi {
+			distinct = append(distinct, gi)
+		}
+	}
+	return first
+}
+
+// targetSums overwrites row g of sums with Σ_{k∈T_g} w_k, the vector the
+// repulsion terms of every source of group g share. first is
+// sharedTargetSets(p): each distinct set is summed once, in ascending k,
+// and a group whose set an earlier group already summed copies that row.
+func targetSums(p *Problem, w, sums *vec.Matrix, first []int) {
+	for gi := range p.Groups {
 		sum := sums.Row(gi)
+		if r := first[gi]; r != gi {
+			copy(sum, sums.Row(r))
+			continue
+		}
+		g := &p.Groups[gi]
 		vec.Zero(sum)
 		for k := 0; k < p.N; k++ {
 			if g.TargetSet[k] {
@@ -137,14 +173,42 @@ func targetSums(p *Problem, w, sums *vec.Matrix) {
 	}
 }
 
+// appendSourceGroups appends to dst, ascending, the groups in which node
+// i is a source: the only groups whose terms its row update adds.
+func appendSourceGroups(dst []int32, p *Problem, i int) []int32 {
+	for gi := range p.Groups {
+		if p.Groups[gi].OutDeg(i) > 0 {
+			dst = append(dst, int32(gi))
+		}
+	}
+	return dst
+}
+
+// sourceGroupLists is appendSourceGroups for every node, node-major:
+// node i's groups are list[ptr[i]:ptr[i+1]].
+func sourceGroupLists(p *Problem) (ptr []int, list []int32) {
+	ptr = make([]int, p.N+1)
+	total := 0
+	for _, r := range p.NumRelTypes {
+		total += r
+	}
+	list = make([]int32, 0, total)
+	for i := 0; i < p.N; i++ {
+		list = appendSourceGroups(list, p, i)
+		ptr[i+1] = len(list)
+	}
+	return ptr, list
+}
+
 // updateRow writes node i's next vector into dst: one application of
 // the variant's row update to the vectors in from, with sums holding the
-// target sums of those same vectors. scratch must hold dim floats.
-func updateRow(p *Problem, h Hyperparams, variant Variant, sums, from *vec.Matrix, i int, dst, scratch []float64) {
+// target sums of those same vectors and groups node i's source groups
+// (appendSourceGroups). scratch must hold dim floats.
+func updateRow(p *Problem, h Hyperparams, variant Variant, sums, from *vec.Matrix, i int, groups []int32, dst, scratch []float64) {
 	if variant == RN {
-		rnRow(p, h, sums, from, i, dst)
+		rnRow(p, h, sums, from, i, groups, dst)
 	} else {
-		roRow(p, h, sums, from, i, dst, scratch)
+		roRow(p, h, sums, from, i, groups, dst, scratch)
 	}
 }
 

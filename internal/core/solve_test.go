@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/retrodb/retro/internal/extract"
@@ -123,7 +124,7 @@ func TestSolveMatchesReference(t *testing.T) {
 					st := NewIncrementalState(p, seq)
 					repaired, scratch := vec.NewMatrix(p.N, p.Dim), make([]float64, p.Dim)
 					for i := 0; i < p.N; i++ {
-						updateRow(p, h, variant, st.sums, seq, i, repaired.Row(i), scratch)
+						updateRow(p, h, variant, st.sums, seq, i, appendSourceGroups(nil, p, i), repaired.Row(i), scratch)
 					}
 					if !repaired.Equal(next, 0) {
 						t.Errorf("%s: the next sweep's rows are not the repair kernel's", name)
@@ -264,6 +265,65 @@ func TestPropertyIncrementalRepair(t *testing.T) {
 		UpdateIncremental(p, w, NewIncrementalState(p, w), dirty, h, RO, IncrementalOptions{MaxIterations: 400, Tolerance: 1e-12})
 		if !w.Equal(full.W, 1e-5) {
 			t.Fatalf("trial %d: repair did not restore fixed point", trial)
+		}
+	}
+}
+
+// TestTargetSumsSharedSets pins the sharing of target sums. In the small
+// problem r and s have the same target set {1, 2}, and t's set {1, 3}
+// has the same TargetCount with other members; the inverses' sets all
+// differ. The TMDB world has groups that share sets too. On both, every
+// row targetSums fills must equal the group's own sum bit for bit, so a
+// count-only match could never hand one group another's sum.
+func TestTargetSumsSharedSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	spec := ManualSpec{Dim: 13, NumCategories: 1}
+	for i := 0; i < 6; i++ {
+		v := make([]float64, spec.Dim)
+		for j := range v {
+			v[j] = rng.NormFloat64()
+		}
+		spec.Values = append(spec.Values, ManualValue{Label: "v", Vector: v})
+	}
+	spec.Relations = []ManualRelation{
+		{Name: "r", Edges: []Edge{{0, 1}, {4, 2}}},
+		{Name: "s", Edges: []Edge{{3, 1}, {0, 2}, {5, 2}}},
+		{Name: "t", Edges: []Edge{{4, 1}, {5, 3}}},
+	}
+	small, err := BuildManualProblem(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sharedTargetSets(small), []int{0, 1, 0, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Fatalf("sharedTargetSets = %v, want %v", got, want)
+	}
+	tmdb := tmdbProblem(t, 300, 48)
+	distinct := 0
+	for gi, r := range sharedTargetSets(tmdb) {
+		if r == gi {
+			distinct++
+		}
+	}
+	if distinct == len(tmdb.Groups) {
+		t.Fatalf("TMDB: all %d target sets are distinct; the test needs shared ones", distinct)
+	}
+
+	for _, p := range []*Problem{small, tmdb} {
+		w := p.W0.Clone()
+		w.Randomize(rng, 1)
+		sums := vec.NewMatrix(len(p.Groups), p.Dim)
+		targetSums(p, w, sums, sharedTargetSets(p))
+		want := make([]float64, p.Dim)
+		for gi := range p.Groups {
+			vec.Zero(want)
+			for k := 0; k < p.N; k++ {
+				if p.Groups[gi].TargetSet[k] {
+					vec.Axpy(want, 1, w.Row(k))
+				}
+			}
+			if !slices.Equal(sums.Row(gi), want) {
+				t.Errorf("N=%d group %d (%s): shared sum differs from its own", p.N, gi, p.Groups[gi].Name)
+			}
 		}
 	}
 }

@@ -413,6 +413,41 @@ func (s *Store) Add(word string, vector []float64) int {
 	return id
 }
 
+// Reserve sizes the store for n rows in total, so that adding words up to
+// that count reallocates neither the row matrix nor the vocabulary. It
+// never shrinks the store, and requires the same external synchronisation
+// as Add.
+func (s *Store) Reserve(n int) {
+	s.mutable("Reserve")
+	if n <= len(s.words) {
+		return
+	}
+	s.words = slices.Grow(s.words, n-len(s.words))
+	s.rowEpochs = slices.Grow(s.rowEpochs, n-len(s.rowEpochs))
+	if len(s.index) == 0 {
+		s.index = make(map[string]int, n)
+		s.sharedIndex = false
+	}
+	need := n * s.dim
+	if s.precision == F32 {
+		if s.matrix32 == nil {
+			s.matrix32 = &vec.Matrix32{Cols: s.dim, Stride: s.dim}
+		}
+		if cap(s.matrix32.Data) < need {
+			s.matrix32.Data = slices.Grow(s.matrix32.Data, need-len(s.matrix32.Data))
+			s.sharedMatrix = false // the new backing array is private
+		}
+		return
+	}
+	if s.matrix == nil {
+		s.matrix = &vec.Matrix{Cols: s.dim, Stride: s.dim}
+	}
+	if cap(s.matrix.Data) < need {
+		s.matrix.Data = slices.Grow(s.matrix.Data, need-len(s.matrix.Data))
+		s.sharedMatrix = false
+	}
+}
+
 // AddStaged inserts a word and vector like Add but defers the derived
 // per-row state — the ANN graph node and the cached norm — to a later
 // RefreshRow(id). The write path stages new values with their

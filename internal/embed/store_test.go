@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/retrodb/retro/internal/vec"
 )
@@ -73,6 +74,41 @@ func TestGrowthManyWords(t *testing.T) {
 	}
 	if s.Matrix().Rows != 500 {
 		t.Fatalf("matrix rows = %d", s.Matrix().Rows)
+	}
+}
+
+// After Reserve(n) the row matrix is never reallocated while the store
+// grows to n rows, at either precision, and a snapshot frozen before the
+// reservation keeps reading its own rows.
+func TestReserveAllocatesRowsOnce(t *testing.T) {
+	for _, p := range []Precision{F64, F32} {
+		s := NewStoreWithPrecision(4, p)
+		s.Add(word(0), []float64{1, 2, 3, 4})
+		frozen := s.Freeze()
+		s.Reserve(300)
+		base := func() *byte {
+			if p == F32 {
+				return (*byte)(unsafe.Pointer(&s.Matrix32().Data[0]))
+			}
+			return (*byte)(unsafe.Pointer(&s.Matrix().Data[0]))
+		}
+		first := base()
+		for i := 1; i < 300; i++ {
+			s.Add(word(i), []float64{float64(i), 0, 0, 1})
+			if base() != first {
+				t.Fatalf("%v: row matrix reallocated at row %d after Reserve(300)", p, i)
+			}
+		}
+		if v, ok := s.VectorOf(word(0)); !ok || v[0] != 1 || v[3] != 4 {
+			t.Fatalf("%v: row 0 = %v after growth", p, v)
+		}
+		if frozen.Len() != 1 || frozen.Vector(0)[1] != 2 {
+			t.Fatalf("%v: the frozen snapshot changed: len %d", p, frozen.Len())
+		}
+		s.Reserve(10) // never shrinks
+		if s.Len() != 300 {
+			t.Fatalf("%v: Len = %d after a smaller Reserve", p, s.Len())
+		}
 	}
 }
 

@@ -112,16 +112,24 @@ func (t *Tokenizer) Coverage(text string) float64 {
 // centroid of the vectors of its matched tokens, or a null vector when no
 // token matches. The second return reports whether any token matched.
 func (t *Tokenizer) InitialVector(text string) ([]float64, bool) {
-	ids := t.Tokenize(text)
 	out := make([]float64, t.store.Dim())
+	return out, t.InitialVectorInto(out, text)
+}
+
+// InitialVectorInto is InitialVector writing into dst, which must hold
+// Dim floats; callers that own the destination row (the problem's W0)
+// skip the temporary vector.
+func (t *Tokenizer) InitialVectorInto(dst []float64, text string) bool {
+	vec.Zero(dst)
+	ids := t.Tokenize(text)
 	if len(ids) == 0 {
-		return out, false
+		return false
 	}
 	for _, id := range ids {
-		vec.Axpy(out, 1, t.store.Vector(id))
+		vec.Axpy(dst, 1, t.store.Vector(id))
 	}
-	vec.Scale(out, 1/float64(len(ids)))
-	return out, true
+	vec.Scale(dst, 1/float64(len(ids)))
+	return true
 }
 
 // Store returns the embedding store this tokenizer resolves against.

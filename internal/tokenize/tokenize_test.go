@@ -100,6 +100,19 @@ func TestInitialVectorNullForOOV(t *testing.T) {
 	}
 }
 
+// InitialVectorInto overwrites whatever its destination held.
+func TestInitialVectorIntoOverwrites(t *testing.T) {
+	tok := New(testStore())
+	dst := []float64{7, 7}
+	if tok.InitialVectorInto(dst, "zzzz") || !vec.IsZero(dst) {
+		t.Fatalf("OOV: dst = %v, want the null vector", dst)
+	}
+	vec.Fill(dst, 7)
+	if !tok.InitialVectorInto(dst, "5th element") || dst[0] != 0 || dst[1] != -2 {
+		t.Fatalf("InitialVectorInto = %v, want the centroid (0,-2)", dst)
+	}
+}
+
 func TestInitialVectorPhrasePreferred(t *testing.T) {
 	tok := New(testStore())
 	v, _ := tok.InitialVector("bank account")

@@ -163,6 +163,25 @@ func axpyGeneric(dst []float64, alpha float64, x []float64) {
 	}
 }
 
+// AxpyAcc computes dst += alpha*x and acc += x element-wise in one read
+// of x, bit-identical to Axpy(dst, alpha, x) followed by Axpy(acc, 1, x)
+// at every dispatch level. dst and acc must not alias. It panics on
+// length mismatch.
+func AxpyAcc(dst []float64, alpha float64, x, acc []float64) {
+	if len(dst) != len(x) || len(acc) != len(x) {
+		panic(fmt.Sprintf("vec: AxpyAcc length mismatch %d, %d, %d", len(dst), len(x), len(acc)))
+	}
+	axpyAcc(dst, alpha, x, acc)
+}
+
+func axpyAccGeneric(dst []float64, alpha float64, x, acc []float64) {
+	x, acc = x[:len(dst)], acc[:len(dst)]
+	for i, xi := range x {
+		dst[i] += alpha * xi
+		acc[i] += xi
+	}
+}
+
 // Scale multiplies every element of a by alpha in place. The SIMD path
 // (VMULPD) performs the identical independent multiply per element, so
 // every dispatch level is bit-identical.

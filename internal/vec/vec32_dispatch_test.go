@@ -68,7 +68,7 @@ func TestDot32KernelParity(t *testing.T) {
 }
 
 // Forced-level parity for the float64 elementwise kernels now routed
-// through the dispatcher. All three must be bit-identical at every
+// through the dispatcher. All four must be bit-identical at every
 // level: independent per-element ops, multiply and add kept separate.
 func TestAxpyScaleAddKernelParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
@@ -99,6 +99,23 @@ func TestAxpyScaleAddKernelParity(t *testing.T) {
 			for i := range dst {
 				if dst[i] != ref[i] {
 					t.Fatalf("level %v n=%d i=%d: Axpy(alpha=1)=%g generic=%g", cpu.Active(), n, i, dst[i], ref[i])
+				}
+			}
+
+			// The one-pass kernel against the two calls it replaces.
+			c := make([]float64, n)
+			for i := range c {
+				c[i] = rng.NormFloat64()
+			}
+			dst, ref = Clone(a), Clone(a)
+			acc, accRef := Clone(c), Clone(c)
+			AxpyAcc(dst, alpha, b, acc)
+			axpyGeneric(ref, alpha, b)
+			axpyGeneric(accRef, 1, b)
+			for i := range dst {
+				if dst[i] != ref[i] || acc[i] != accRef[i] {
+					t.Fatalf("level %v n=%d i=%d: AxpyAcc=(%g, %g) two axpyGeneric=(%g, %g)",
+						cpu.Active(), n, i, dst[i], acc[i], ref[i], accRef[i])
 				}
 			}
 

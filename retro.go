@@ -264,6 +264,7 @@ func resolveParams(cfg Config) Hyperparams {
 func (m *Model) buildStore(row func(int) []float64) *Embedding {
 	s := embed.NewStoreWithPrecision(m.prob.Dim, m.cfg.Precision)
 	applyANNConfig(s, m.cfg)
+	s.Reserve(len(m.ex.Values))
 	for _, v := range m.ex.Values {
 		s.Add(deepwalk.ValueKey(m.ex, v.ID), row(v.ID))
 	}
