@@ -78,7 +78,7 @@ func GrowProblem(p *Problem, ex *extract.Extraction, tok *tokenize.Tokenizer, d 
 		p.Centroids.GrowRows(newN)
 		for _, id := range d.NewValues {
 			v := ex.Values[id]
-			tok.InitialVectorInto(p.W0.Row(id), v.Text)
+			tok.InitialVector(p.W0.Row(id), v.Text)
 			p.CategoryOf = append(p.CategoryOf, v.Category)
 			p.Labels = append(p.Labels, v.Text)
 			p.NumRelTypes = append(p.NumRelTypes, 0)

@@ -182,7 +182,7 @@ func BuildProblem(ex *extract.Extraction, tok *tokenize.Tokenizer) *Problem {
 		Labels:     make([]string, n),
 	}
 	for _, v := range ex.Values {
-		tok.InitialVectorInto(p.W0.Row(v.ID), v.Text)
+		tok.InitialVector(p.W0.Row(v.ID), v.Text)
 		p.CategoryOf[v.ID] = v.Category
 		p.Labels[v.ID] = v.Text
 	}

@@ -25,9 +25,9 @@ func rnRow(p *Problem, h Hyperparams, sums, from *vec.Matrix, i int, groups []in
 	for _, g32 := range groups {
 		gi := int(g32)
 		g := &p.Groups[gi]
-		od := g.OutDeg(i)
-		gamma := h.Gamma / (float64(od) * rt)
 		base, extra := g.TargetLists(i)
+		od := len(base) + len(extra)
+		gamma := h.Gamma / (float64(od) * rt)
 		for _, j := range base {
 			vec.Axpy(dst, gamma, from.Row(int(j)))
 		}

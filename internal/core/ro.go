@@ -29,7 +29,8 @@ func roRow(p *Problem, h Hyperparams, sums, from *vec.Matrix, i int, groups []in
 	for _, g32 := range groups {
 		gi := int(g32)
 		g := &p.Groups[gi]
-		od := g.OutDeg(i)
+		base, extra := g.TargetLists(i)
+		od := len(base) + len(extra)
 		gammaSelf := h.Gamma / (float64(od) * rt)
 		inv := &p.Groups[g.Inverse]
 		nbrSum := scratch
@@ -40,7 +41,6 @@ func roRow(p *Problem, h Hyperparams, sums, from *vec.Matrix, i int, groups []in
 			vec.AxpyAcc(dst, weight, from.Row(j), nbrSum)
 			denom += weight
 		}
-		base, extra := g.TargetLists(i)
 		for _, j := range base {
 			attract(int(j))
 		}

@@ -201,8 +201,9 @@ func TestTMDBExtractionAndTokenization(t *testing.T) {
 	// Tokenization should find vectors for most values but not all (OOV).
 	tok := tokenize.New(w.Embedding)
 	invocab, oov := 0, 0
+	initial := make([]float64, w.Embedding.Dim())
 	for _, val := range ex.Values {
-		if _, ok := tok.InitialVector(val.Text); ok {
+		if tok.InitialVector(initial, val.Text) {
 			invocab++
 		} else {
 			oov++

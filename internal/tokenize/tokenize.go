@@ -108,18 +108,12 @@ func (t *Tokenizer) Coverage(text string) float64 {
 	return float64(consumed) / float64(len(tokens))
 }
 
-// InitialVector computes the §3.1 initialisation for a text value: the
-// centroid of the vectors of its matched tokens, or a null vector when no
-// token matches. The second return reports whether any token matched.
-func (t *Tokenizer) InitialVector(text string) ([]float64, bool) {
-	out := make([]float64, t.store.Dim())
-	return out, t.InitialVectorInto(out, text)
-}
-
-// InitialVectorInto is InitialVector writing into dst, which must hold
-// Dim floats; callers that own the destination row (the problem's W0)
-// skip the temporary vector.
-func (t *Tokenizer) InitialVectorInto(dst []float64, text string) bool {
+// InitialVector writes the §3.1 initialisation for a text value into dst,
+// which must hold Dim floats: the centroid of the vectors of its matched
+// tokens, or a null vector when no token matches. It reports whether any
+// token matched. Callers own the destination, so building a problem
+// writes each value's vector straight into its W0 row.
+func (t *Tokenizer) InitialVector(dst []float64, text string) bool {
 	vec.Zero(dst)
 	ids := t.Tokenize(text)
 	if len(ids) == 0 {

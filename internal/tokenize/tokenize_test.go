@@ -76,8 +76,8 @@ func TestTokenizeAllOOV(t *testing.T) {
 
 func TestInitialVectorCentroid(t *testing.T) {
 	tok := New(testStore())
-	v, ok := tok.InitialVector("5th element")
-	if !ok {
+	v := []float64{7, 7} // overwritten, not added to
+	if !tok.InitialVector(v, "5th element") {
 		t.Fatal("expected in-vocabulary")
 	}
 	// centroid of (0,-1) and (0,-3) = (0,-2)
@@ -88,34 +88,19 @@ func TestInitialVectorCentroid(t *testing.T) {
 
 func TestInitialVectorNullForOOV(t *testing.T) {
 	tok := New(testStore())
-	v, ok := tok.InitialVector("zzzz")
-	if ok {
+	v := []float64{7, 7}
+	if tok.InitialVector(v, "zzzz") {
 		t.Fatal("expected OOV")
 	}
 	if !vec.IsZero(v) {
 		t.Fatalf("OOV vector must be null, got %v", v)
 	}
-	if len(v) != 2 {
-		t.Fatal("null vector must have store dimensionality")
-	}
-}
-
-// InitialVectorInto overwrites whatever its destination held.
-func TestInitialVectorIntoOverwrites(t *testing.T) {
-	tok := New(testStore())
-	dst := []float64{7, 7}
-	if tok.InitialVectorInto(dst, "zzzz") || !vec.IsZero(dst) {
-		t.Fatalf("OOV: dst = %v, want the null vector", dst)
-	}
-	vec.Fill(dst, 7)
-	if !tok.InitialVectorInto(dst, "5th element") || dst[0] != 0 || dst[1] != -2 {
-		t.Fatalf("InitialVectorInto = %v, want the centroid (0,-2)", dst)
-	}
 }
 
 func TestInitialVectorPhrasePreferred(t *testing.T) {
 	tok := New(testStore())
-	v, _ := tok.InitialVector("bank account")
+	v := make([]float64, 2)
+	tok.InitialVector(v, "bank account")
 	if v[0] != 10 || v[1] != 10 {
 		t.Fatalf("phrase vector not used: %v", v)
 	}

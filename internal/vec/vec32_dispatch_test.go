@@ -198,3 +198,41 @@ func BenchmarkDot32Kernel(b *testing.B) {
 	}
 	cpu.SetLevel(orig)
 }
+
+// BenchmarkAxpyRowFetch prices the solver's inner step, one Axpy of a
+// 300-dim row into an accumulator, by where the row comes from: the same
+// row every time (L1-resident), or a random row of an 8830 × 300 matrix
+// (21 MB, the train world's W), which the iteration fetches from memory.
+// The last two cases are roRow's attraction step before and after the
+// one-pass kernel: two Axpy calls reading the random row twice, and one
+// AxpyAcc reading it once.
+func BenchmarkAxpyRowFetch(b *testing.B) {
+	const rows, dim = 8830, 300
+	rng := rand.New(rand.NewSource(31))
+	m := NewMatrix(rows, dim)
+	m.Randomize(rng, 1)
+	order := rng.Perm(rows)
+	dst, acc := make([]float64, dim), make([]float64, dim)
+	b.Run("resident", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Axpy(dst, 0.5, m.Row(7))
+		}
+	})
+	b.Run("random", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Axpy(dst, 0.5, m.Row(order[i%rows]))
+		}
+	})
+	b.Run("random-two-axpy", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			x := m.Row(order[i%rows])
+			Axpy(dst, 0.5, x)
+			Axpy(acc, 1, x)
+		}
+	})
+	b.Run("random-axpyacc", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			AxpyAcc(dst, 0.5, m.Row(order[i%rows]), acc)
+		}
+	})
+}
