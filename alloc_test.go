@@ -11,8 +11,8 @@ import (
 // of the N·dim·8 bytes of one float64 copy of the result. The solve keeps
 // five such matrices (W0, the centroids, the two iterates and the store),
 // each allocated once; the rest is extraction and tokenization. Growing
-// the store by doubling and a temporary vector per initial value, as
-// earlier versions did, cost about 9.3x on this world.
+// the store by doubling, or a temporary vector per initial value, pushes
+// the multiple past the bound (to about 9.3x on this world).
 const retrofitAllocBound = 7.5
 
 // TestRetrofitAllocations guards the bytes one sequential Retrofit

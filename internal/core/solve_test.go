@@ -50,10 +50,10 @@ func randomProblem(t testing.TB, rng *rand.Rand, n, dim, numCats, numRels int) *
 	return p
 }
 
-// grownFixture is growFixture after inserting rows movies one by one,
-// every centroid refreshed: its groups carry overflow adjacency, folded
-// back into CSR once enough rows went in, and wantCompacted says which
-// of the two the caller needs.
+// grownFixture is growFixture after inserting `rows` movies one at a
+// time, every centroid refreshed. Its groups carry overflow adjacency,
+// folded back into CSR once enough rows went in; wantCompacted says
+// which of the two the caller needs.
 func grownFixture(t *testing.T, rows int, wantCompacted bool) (*reldb.DB, *extract.Extraction, *Problem, *tokenize.Tokenizer) {
 	t.Helper()
 	db, ex, p, tok := growFixture(t)
