@@ -30,7 +30,8 @@ var solverGolden = filepath.Join("testdata", "golden", "solver.txt")
 // problems — two random ones and the 300-movie TMDB world, whose groups
 // share target sets — with RN and RO on one and three workers under four
 // hyperparameter sets, and repairs a grown fixture with UpdateIncremental
-// under each variant. A change that means to leave the program as it is
+// under each variant. It also pins the MF baseline (SolveFaruqui at two α)
+// and the CheckConvexity report on each problem. A change that means to leave the program as it is
 // leaves testdata/golden/solver.txt byte-identical; one that changes
 // numbers on purpose regenerates it with
 //
@@ -77,6 +78,15 @@ func TestGoldenSolver(t *testing.T) {
 	for _, variant := range []Variant{RN, RO} {
 		w, sweeps := goldenRepair(t, variant)
 		fmt.Fprintf(&got, "repair/%v %s\n", variant, matrixDigest(w, sweeps))
+	}
+	for _, pc := range problems {
+		for _, alpha := range []float64{1, 0.5} {
+			res := SolveFaruqui(pc.p, alpha, 20)
+			fmt.Fprintf(&got, "%s/faruqui/alpha=%g %s\n", pc.name, alpha, matrixDigest(res.W, res.Iterations))
+		}
+		for _, hc := range params {
+			fmt.Fprintf(&got, "%s/%s/convexity %+v\n", pc.name, hc.name, CheckConvexity(pc.p, hc.h))
+		}
 	}
 
 	if os.Getenv("UPDATE_GOLDEN") != "" {
