@@ -95,37 +95,47 @@ func TestGroupStructure(t *testing.T) {
 	}
 }
 
+// TestDeriveWeights checks rowCoeffs, the production eqs. (12)–(14), on
+// the Figure 3 problem by hand.
 func TestDeriveWeights(t *testing.T) {
 	p := fig3Problem(t)
 	h := Hyperparams{Alpha: 1, Beta: 2, Gamma: 3, Delta: 1, Iterations: 5}
-	w := deriveWeights(p, h)
+	fwd, inv := &p.Groups[0], &p.Groups[1]
+	movie, usa := rowCoeffs(p, h, 0), rowCoeffs(p, h, 3)
 	// β_i = β/(|R_i|+1) = 2/2 = 1.
-	if w.beta[0] != 1 {
-		t.Fatalf("beta = %v", w.beta[0])
+	if movie.alpha != 1 || movie.beta != 1 {
+		t.Fatalf("alpha, beta = %v, %v", movie.alpha, movie.beta)
 	}
 	// Movie 0: od=1, |R|+1=2 -> γ = 3/2.
-	if w.gamma[0][0] != 1.5 {
-		t.Fatalf("gamma fwd movie = %v", w.gamma[0][0])
+	if g := movie.gammaR(fwd.OutDeg(0)); g != 1.5 {
+		t.Fatalf("gamma fwd movie = %v", g)
 	}
-	// USA in inverse group: od=2 -> γ = 3/(2·2) = 0.75.
-	if w.gamma[1][3] != 0.75 {
-		t.Fatalf("gamma inv USA = %v", w.gamma[1][3])
+	// USA in inverse group: od=2 -> γ = 3/(2·2) = 0.75, also as the
+	// per-edge γ^r̄_j RO's attraction reads.
+	if g := usa.gammaR(inv.OutDeg(3)); g != 0.75 || gammaOf(h.Gamma, inv.OutDeg(3), usa.rt) != g {
+		t.Fatalf("gamma inv USA = %v", g)
 	}
 	// deltaRO: mc = max(3,2)=3, mr = max(|R_i|+1)=2 -> δ/(3·2) = 1/6.
-	if math.Abs(w.deltaRO[0]-1.0/6) > 1e-12 {
-		t.Fatalf("deltaRO = %v", w.deltaRO[0])
+	if d := movie.deltaRO(fwd); math.Abs(d-1.0/6) > 1e-12 {
+		t.Fatalf("deltaRO = %v", d)
 	}
-	if w.deltaRO[0] != w.deltaRO[1] {
+	if movie.deltaRO(fwd) != usa.deltaRO(inv) {
 		t.Fatal("deltaRO must be symmetric between group and inverse")
 	}
 	// deltaRN movie 0: δ/(|T_r|·(|R|+1)) = 1/(2·2) = 0.25 (the centroid
 	// normalisation of §4.2's series description).
-	if w.deltaRN[0][0] != 0.25 {
-		t.Fatalf("deltaRN = %v", w.deltaRN[0][0])
+	if d := movie.deltaRN(fwd); d != 0.25 {
+		t.Fatalf("deltaRN = %v", d)
 	}
-	// Non-participants carry zero weights.
-	if w.gamma[0][3] != 0 || w.deltaRN[0][3] != 0 {
-		t.Fatal("non-source nodes must have zero weights")
+	// No repulsion without δ.
+	h.Delta = 0
+	if c := rowCoeffs(p, h, 0); c.deltaRO(fwd) != 0 || c.deltaRN(fwd) != 0 {
+		t.Fatal("δ = 0 must give zero repulsion weights")
+	}
+	// Non-sources carry zero weights: a row reads the coefficients of
+	// its source groups only, and USA is no source of the forward group.
+	if got := appendSourceGroups(nil, p, 3); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("USA's source groups = %v, want [1]", got)
 	}
 }
 
@@ -303,6 +313,11 @@ func TestConvexityCheck(t *testing.T) {
 	}
 }
 
+// TestLossNegativePartMatchesNaive checks Loss, row by row over each
+// node's source groups, against the reference: eqs. (4)–(6) pair by pair
+// on the Figure 3 problem, and the dense-table sum-identity loss on the
+// golden random problems under every golden hyperparameter set, at W0 and
+// at the RN and RO solutions.
 func TestLossNegativePartMatchesNaive(t *testing.T) {
 	p := fig3Problem(t)
 	h := Hyperparams{Alpha: 1, Beta: 1, Gamma: 2, Delta: 1, Iterations: 3}
@@ -311,6 +326,17 @@ func TestLossNegativePartMatchesNaive(t *testing.T) {
 	want := naiveLoss(p, h, res.W)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("efficient loss %v != naive loss %v", got, want)
+	}
+
+	for _, pc := range goldenProblems(t)[:2] {
+		for _, hc := range goldenParams {
+			for _, w := range []*vec.Matrix{pc.p.W0, SolveRN(pc.p, hc.h, SolveOptions{}).W, SolveRO(pc.p, hc.h, SolveOptions{}).W} {
+				got, want := Loss(pc.p, hc.h, w), lossWithWeights(pc.p, deriveWeights(pc.p, hc.h), w)
+				if math.Abs(got-want) > 1e-12*math.Abs(want) {
+					t.Errorf("%s/%s: Loss %v, reference %v", pc.name, hc.name, got, want)
+				}
+			}
+		}
 	}
 }
 

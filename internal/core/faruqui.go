@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/retrodb/retro/internal/vec"
 )
@@ -13,7 +13,8 @@ import (
 //	v_i = ( α_i v'_i + Σ_{j:(i,j)∈E_F} β_i v_j ) / ( α_i + Σ β_i )
 //
 // with the standard configuration α_i = 1 and β_i = 1/degree(i) (§5.2).
-// The paper runs 20 iterations; pass iterations <= 0 for that default.
+// The paper runs 20 iterations on one thread; pass iterations <= 0 for
+// that default. It is the solve driver with mfRow as the row kernel.
 //
 // The MF baseline models the database simply: every relation edge becomes
 // an undirected lexicon edge, with no categorial term and no negative
@@ -26,59 +27,57 @@ func SolveFaruqui(p *Problem, alpha float64, iterations int) *Result {
 	if alpha <= 0 {
 		alpha = 1
 	}
-	adj := undirectedAdjacency(p)
+	return solve(p, Hyperparams{Alpha: alpha, Iterations: iterations}, mf, SolveOptions{}, 1)
+}
 
-	cur := p.W0.Clone()
-	next := vec.NewMatrix(p.N, p.Dim)
-	for iter := 0; iter < iterations; iter++ {
-		for i := 0; i < p.N; i++ {
-			row := next.Row(i)
-			nbrs := adj[i]
-			if len(nbrs) == 0 {
-				copy(row, cur.Row(i))
-				continue
-			}
-			beta := 1 / float64(len(nbrs))
-			vec.Zero(row)
-			vec.Axpy(row, alpha, p.W0.Row(i))
-			for _, j := range nbrs {
-				vec.Axpy(row, beta, cur.Row(int(j)))
-			}
-			// Denominator: α + Σ β_i = α + deg·(1/deg) = α + 1.
-			vec.Scale(row, 1/(alpha+1))
-		}
-		cur, next = next, cur
+// mfRow is the eq. (3) row update: node i's original vector weighted by
+// α and its neighbours nbrs (ascending, undirectedAdjacency) each by
+// 1/deg(i), over the denominator α + Σ β_i = α + 1. A node with no
+// neighbours keeps its vector.
+func mfRow(p *Problem, h Hyperparams, from *vec.Matrix, i int, nbrs []int32, dst []float64) {
+	if len(nbrs) == 0 {
+		copy(dst, from.Row(i))
+		return
 	}
-	return &Result{W: cur, Iterations: iterations}
+	beta := 1 / float64(len(nbrs))
+	vec.Zero(dst)
+	vec.Axpy(dst, h.Alpha, p.W0.Row(i))
+	for _, j := range nbrs {
+		vec.Axpy(dst, beta, from.Row(int(j)))
+	}
+	vec.Scale(dst, 1/(h.Alpha+1))
 }
 
 // undirectedAdjacency merges every relation group's edges into one
-// undirected, deduplicated adjacency list (the lexicon graph E_F).
-// Forward groups suffice: inverse groups mirror the same edges.
-func undirectedAdjacency(p *Problem) [][]int32 {
-	adj := make([][]int32, p.N)
-	for gi := range p.Groups {
-		if gi%2 == 1 {
-			continue // skip inverse twins; edges identical reversed
+// undirected, deduplicated adjacency (the lexicon graph E_F), node-major:
+// node i's neighbours are list[ptr[i]:ptr[i+1]], ascending. Forward
+// groups suffice: the inverse twins at odd indices mirror the same edges.
+func undirectedAdjacency(p *Problem) (ptr []int, list []int32) {
+	forward := func(fn func(from, to int)) {
+		for gi := 0; gi < len(p.Groups); gi += 2 {
+			p.Groups[gi].EachEdge(fn)
 		}
-		g := &p.Groups[gi]
-		g.EachEdge(func(from, to int) {
-			adj[from] = append(adj[from], int32(to))
-			adj[to] = append(adj[to], int32(from))
-		})
 	}
-	for i := range adj {
-		nbrs := adj[i]
-		sort.Slice(nbrs, func(a, b int) bool { return nbrs[a] < nbrs[b] })
-		dedup := nbrs[:0]
-		var last int32 = -1
-		for _, v := range nbrs {
-			if v != last {
-				dedup = append(dedup, v)
-				last = v
-			}
-		}
-		adj[i] = dedup
+	ptr = make([]int, p.N+1)
+	forward(func(from, to int) { ptr[from+1]++; ptr[to+1]++ })
+	for i := 0; i < p.N; i++ {
+		ptr[i+1] += ptr[i]
 	}
-	return adj
+	list = make([]int32, ptr[p.N])
+	fill := slices.Clone(ptr[:p.N])
+	forward(func(from, to int) {
+		list[fill[from]], list[fill[to]] = int32(to), int32(from)
+		fill[from]++
+		fill[to]++
+	})
+	// Sort and deduplicate each node's neighbours, compacting list.
+	n := 0
+	for i := 0; i < p.N; i++ {
+		nbrs := list[ptr[i]:ptr[i+1]]
+		slices.Sort(nbrs)
+		ptr[i] = n
+		n += copy(list[n:], slices.Compact(nbrs))
+	}
+	ptr[p.N] = n
+	return ptr, list[:n]
 }

@@ -31,9 +31,9 @@ var solverGolden = filepath.Join("testdata", "golden", "solver.txt")
 // share target sets — with RN and RO on one and three workers under four
 // hyperparameter sets, and repairs a grown fixture with UpdateIncremental
 // under each variant. It also pins the MF baseline (SolveFaruqui at two α)
-// and the CheckConvexity report on each problem. A change that means to leave the program as it is
-// leaves testdata/golden/solver.txt byte-identical; one that changes
-// numbers on purpose regenerates it with
+// and the CheckConvexity report on each problem. A change that means to
+// leave the program as it is leaves testdata/golden/solver.txt
+// byte-identical; one that changes numbers on purpose regenerates it with
 //
 //	UPDATE_GOLDEN=1 go test -run TestGoldenSolver ./internal/core
 //
@@ -47,23 +47,8 @@ func TestGoldenSolver(t *testing.T) {
 	defer cpu.SetLevel(cpu.Active())
 	cpu.SetLevel(cpu.Scalar)
 
-	problems := []struct {
-		name string
-		p    *Problem
-	}{
-		{"random-a", randomProblem(t, rand.New(rand.NewSource(41)), 60, 7, 4, 4)},
-		{"random-b", randomProblem(t, rand.New(rand.NewSource(42)), 150, 16, 3, 6)},
-		{"tmdb", tmdbProblem(t, 300, 48)},
-	}
-	params := []struct {
-		name string
-		h    Hyperparams
-	}{
-		{"default-rn", DefaultRN()},
-		{"default-ro", DefaultRO()},
-		{"beta", Hyperparams{Alpha: 1, Beta: 0.5, Gamma: 3, Delta: 1, Iterations: 10}},
-		{"delta0", Hyperparams{Alpha: 1, Beta: 0, Gamma: 3, Delta: 0, Iterations: 10}},
-	}
+	problems := goldenProblems(t)
+	params := goldenParams
 	var got strings.Builder
 	for _, pc := range problems {
 		for _, hc := range params {
@@ -104,6 +89,33 @@ func TestGoldenSolver(t *testing.T) {
 	if string(want) != got.String() {
 		t.Errorf("solver output differs from %s\ngot:\n%sgolden:\n%s", solverGolden, got.String(), want)
 	}
+}
+
+// namedProblem is a test problem with the name its golden lines carry.
+type namedProblem struct {
+	name string
+	p    *Problem
+}
+
+// goldenProblems are TestGoldenSolver's three problems: two random ones
+// and the 300-movie TMDB world.
+func goldenProblems(t testing.TB) []namedProblem {
+	return []namedProblem{
+		{"random-a", randomProblem(t, rand.New(rand.NewSource(41)), 60, 7, 4, 4)},
+		{"random-b", randomProblem(t, rand.New(rand.NewSource(42)), 150, 16, 3, 6)},
+		{"tmdb", tmdbProblem(t, 300, 48)},
+	}
+}
+
+// goldenParams are TestGoldenSolver's four hyperparameter sets.
+var goldenParams = []struct {
+	name string
+	h    Hyperparams
+}{
+	{"default-rn", DefaultRN()},
+	{"default-ro", DefaultRO()},
+	{"beta", Hyperparams{Alpha: 1, Beta: 0.5, Gamma: 3, Delta: 1, Iterations: 10}},
+	{"delta0", Hyperparams{Alpha: 1, Beta: 0, Gamma: 3, Delta: 0, Iterations: 10}},
 }
 
 // tmdbProblem builds the problem of the synthetic TMDB world.

@@ -3,7 +3,8 @@ package core
 import "fmt"
 
 // Hyperparams are the four global constants of §4.4 plus the iteration
-// count. From these the per-node weights of eqs. (12)–(14) are derived.
+// count. From these rowCoeffs derives the per-node weights of eqs.
+// (12)–(14).
 type Hyperparams struct {
 	Alpha      float64
 	Beta       float64
@@ -35,75 +36,38 @@ func (h Hyperparams) String() string {
 	return fmt.Sprintf("α=%g β=%g γ=%g δ=%g iters=%d", h.Alpha, h.Beta, h.Gamma, h.Delta, h.Iterations)
 }
 
-// weights holds every derived per-node/per-group coefficient used by the
-// solvers and the loss. Built once per (problem, hyperparams) pair.
-type weights struct {
-	h Hyperparams
-
-	// alpha[i], beta[i]: eq. (12). beta_i = β / (|R_i|+1).
-	alpha []float64
-	beta  []float64
-
-	// gamma[g][i] = γ / (od_g(i) · (|R_i|+1)) for sources of group g
-	// (eq. 12), else 0.
-	gamma [][]float64
-
-	// deltaRO[g] is the constant δ^r of eq. (13): δ / (mc(r)·mr(r)).
-	// It applies to every pair of Ẽ_g.
-	deltaRO []float64
-
-	// deltaRN[g][i] weights the series solver's repulsion term for
-	// sources of group g (eq. 14). §4.2's text states the series
-	// subtracts "the centroid of all target vectors in the relation",
-	// so the weight is δ / (|T_r| · (|R_i|+1)): the Σ_{k∈T_r} v_k of
-	// eq. (16) times this weight equals δ/(|R_i|+1) times the centroid.
-	// (Reading eq. 14's |{j:(i,j)∈E_r}| as the per-source out-degree
-	// instead makes the repulsion grow with |T_r| and collapses all
-	// vectors onto one direction for any realistically sized relation.)
-	deltaRN [][]float64
+// coeffs are node i's coefficients of eqs. (12)–(14), the one place the
+// paper's weighting is written: the row kernels, Loss and CheckConvexity
+// all read them. α_i and β_i are fixed per node; the per-group weights
+// divide the global γ and δ by a group's degree or size and by |R_i|+1.
+type coeffs struct {
+	alpha, beta  float64 // α_i = α and β_i = β / (|R_i|+1), eq. (12)
+	gamma, delta float64 // the global γ and δ
+	rt           float64 // |R_i|+1
 }
 
-// deriveWeights computes eqs. (12)–(14) for a problem.
-func deriveWeights(p *Problem, h Hyperparams) *weights {
-	h = h.withDefaults()
-	w := &weights{
-		h:       h,
-		alpha:   make([]float64, p.N),
-		beta:    make([]float64, p.N),
-		gamma:   make([][]float64, len(p.Groups)),
-		deltaRO: make([]float64, len(p.Groups)),
-		deltaRN: make([][]float64, len(p.Groups)),
-	}
-	for i := 0; i < p.N; i++ {
-		w.alpha[i] = h.Alpha
-		w.beta[i] = h.Beta / float64(p.NumRelTypes[i]+1)
-	}
-	for gi := range p.Groups {
-		g := &p.Groups[gi]
-		gamma := make([]float64, p.N)
-		deltaRN := make([]float64, p.N)
-		for i := 0; i < p.N; i++ {
-			od := g.OutDeg(i)
-			if od == 0 {
-				continue
-			}
-			relTypes := float64(p.NumRelTypes[i] + 1)
-			gamma[i] = h.Gamma / (float64(od) * relTypes)
-			if g.TargetCount > 0 {
-				deltaRN[i] = h.Delta / (float64(g.TargetCount) * relTypes)
-			}
-		}
-		w.gamma[gi] = gamma
-		w.deltaRN[gi] = deltaRN
-		w.deltaRO[gi] = deltaRO(g, h)
-	}
-	return w
+// rowCoeffs derives node i's coefficients.
+func rowCoeffs(p *Problem, h Hyperparams, i int) coeffs {
+	rt := float64(p.NumRelTypes[i] + 1)
+	return coeffs{alpha: h.Alpha, beta: h.Beta / rt, gamma: h.Gamma, delta: h.Delta, rt: rt}
 }
 
-// deltaRO computes the constant δ^r of eq. (13) for one group:
+// gammaR is γ^r_i of eq. (12) for a group in which node i has out-degree
+// od > 0.
+func (c coeffs) gammaR(od int) float64 { return gammaOf(c.gamma, od, c.rt) }
+
+// gammaOf is eq. (12)'s γ / (od_r(j) · (|R_j|+1)) for any node j. RO's
+// attraction needs it per edge for the target's γ^r̄_j, where deriving all
+// of j's coefficients would cost a division more per edge.
+func gammaOf(gamma float64, od int, rt float64) float64 {
+	return gamma / (float64(od) * rt)
+}
+
+// deltaRO is the constant δ^r of eq. (13) for group g:
 // δ / (mc(r)·mr(r)) with mc(r) = max(|S_r|, |T_r|) and mr(r) the cached
-// group maximum of |R_i|+1 over participants.
-func deltaRO(g *Group, h Hyperparams) float64 {
+// group maximum of |R_i|+1 over participants. It is the same for every
+// source of g, and for g and its inverse.
+func (c coeffs) deltaRO(g *Group) float64 {
 	mc := g.SourceCount
 	if g.TargetCount > mc {
 		mc = g.TargetCount
@@ -111,7 +75,21 @@ func deltaRO(g *Group, h Hyperparams) float64 {
 	if mc <= 0 || g.MaxRel <= 0 {
 		return 0
 	}
-	return h.Delta / (float64(mc) * float64(g.MaxRel))
+	return c.delta / (float64(mc) * float64(g.MaxRel))
+}
+
+// deltaRN weights the series solver's repulsion from group g's targets
+// (eq. 14). §4.2's text states the series subtracts "the centroid of all
+// target vectors in the relation", so the weight is δ / (|T_r| · (|R_i|+1)):
+// the Σ_{k∈T_r} v_k of eq. (16) times this weight equals δ/(|R_i|+1) times
+// the centroid. (Reading eq. 14's |{j:(i,j)∈E_r}| as the per-source
+// out-degree instead makes the repulsion grow with |T_r| and collapses all
+// vectors onto one direction for any realistically sized relation.)
+func (c coeffs) deltaRN(g *Group) float64 {
+	if c.delta == 0 || g.TargetCount <= 0 {
+		return 0
+	}
+	return c.delta / (float64(g.TargetCount) * c.rt)
 }
 
 // ConvexityReport captures both convexity conditions stated by the paper.
@@ -135,33 +113,31 @@ func (r ConvexityReport) Convex() bool { return r.NonNegativeParams && r.Eq7Hold
 // CheckConvexity evaluates the hyperparameter conditions of eq. (7)/(24)
 // on a concrete problem.
 func CheckConvexity(p *Problem, h Hyperparams) ConvexityReport {
-	w := deriveWeights(p, h)
 	rep := ConvexityReport{NonNegativeParams: true, Eq7Holds: true, Eq24Holds: true, WorstNode: -1}
 	if h.Alpha < 0 || h.Beta < 0 || h.Gamma < 0 {
 		rep.NonNegativeParams = false
 	}
+	groupPtr, groupList := sourceGroupLists(p)
 	for i := 0; i < p.N; i++ {
+		c := rowCoeffs(p, h, i)
 		var deltaSum float64
-		for gi := range p.Groups {
+		for _, gi := range groupList[groupPtr[i]:groupPtr[i+1]] {
 			g := &p.Groups[gi]
-			if !g.SourceSet[i] {
-				continue
-			}
 			// |Ẽ_g(i)| = |T_g| − od_g(i): complements over S×T (see ro.go).
 			negCount := float64(g.TargetCount - g.OutDeg(i))
 			if negCount < 0 {
 				negCount = 0
 			}
-			deltaSum += negCount * w.deltaRO[gi]
+			deltaSum += negCount * c.deltaRO(g)
 		}
-		slack := 4*w.alpha[i] - deltaSum
+		slack := 4*c.alpha - deltaSum
 		if rep.WorstNode < 0 || slack < rep.WorstSlack {
 			rep.WorstNode, rep.WorstSlack = i, slack
 		}
 		if slack < 0 {
 			rep.Eq7Holds = false
 		}
-		if w.alpha[i] < 4*deltaSum {
+		if c.alpha < 4*deltaSum {
 			rep.Eq24Holds = false
 		}
 	}

@@ -6,22 +6,22 @@
 // optimisation of eq. 15) or the series-based iteration RN (eq. 11, with
 // the precomputed target sums of eq. 16).
 //
-// There is one solver: a driver (solve.go) and two row kernels (roRow in
-// ro.go, rnRow in rn.go). Both iterations are Jacobi-style — row i of
-// W^{k+1} is a function of W^k, the per-group target sums of W^k and
-// node i's own adjacency — so an iteration fills the target sums once and
-// then calls the variant's kernel for every row, over one range of rows
-// or several. A kernel evaluates its row in a fixed order whatever range
-// it was called from, which makes SolveRO/SolveRN (one range) and
+// There is one solver: a driver (solve.go) and three row kernels (roRow
+// in ro.go, rnRow in rn.go, and mfRow in faruqui.go for the original
+// retrofitting baseline of Faruqui et al., MF). Every iteration is
+// Jacobi-style — row i of W^{k+1} is a function of W^k, the per-group
+// target sums of W^k and node i's own adjacency — so an iteration fills
+// the target sums once (when δ ≠ 0; MF has none) and then calls the
+// variant's kernel for every row, over one range of rows or several. A
+// kernel evaluates its row in a fixed order whatever range it was called
+// from, which makes SolveRO/SolveRN (one range) and
 // SolveROParallel/SolveRNParallel (several) bit-identical by
 // construction. Delta repair (UpdateIncremental) calls the same kernels
 // for the dirty rows only, in place, against target sums it maintains
 // across repairs instead of refilling — so a repair applies exactly the
-// update a full solve would apply to that row. The dense coefficient
-// tables of deriveWeights serve Loss and CheckConvexity (and the tests'
-// pointwise reference); the kernels compute their coefficients on the
-// fly. The original retrofitting baseline of Faruqui et al. (MF) lives in
-// faruqui.go.
+// update a full solve would apply to that row. The eq. (12)–(14)
+// coefficients are written once, in rowCoeffs (params.go); the RO and RN
+// kernels, Loss and CheckConvexity all derive them there, row by row.
 package core
 
 import (

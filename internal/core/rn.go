@@ -12,30 +12,29 @@ import (
 // division in eq. (9) — which keeps the series bounded for any
 // hyperparameter setting; a zero row stays zero. groups lists the groups
 // node i is a source of, ascending (appendSourceGroups); no other group
-// contributes. The eq. (12)/(14) coefficients are computed on the fly, so
-// one row costs O(deg·dim + |R_i|·dim) whether it is one of N in a full
+// contributes. The eq. (12)/(14) coefficients come from rowCoeffs, so one
+// row costs O(deg·dim + |R_i|·dim) whether it is one of N in a full
 // iteration or one of a few in a repair.
 func rnRow(p *Problem, h Hyperparams, sums, from *vec.Matrix, i int, groups []int32, dst []float64) {
-	rt := float64(p.NumRelTypes[i] + 1)
+	c := rowCoeffs(p, h, i)
 	vec.Zero(dst)
-	vec.Axpy(dst, h.Alpha, p.W0.Row(i))
-	if beta := h.Beta / rt; beta != 0 {
-		vec.Axpy(dst, beta, p.Centroids.Row(i))
+	vec.Axpy(dst, c.alpha, p.W0.Row(i))
+	if c.beta != 0 {
+		vec.Axpy(dst, c.beta, p.Centroids.Row(i))
 	}
 	for _, g32 := range groups {
 		gi := int(g32)
 		g := &p.Groups[gi]
 		base, extra := g.TargetLists(i)
-		od := len(base) + len(extra)
-		gamma := h.Gamma / (float64(od) * rt)
+		gamma := c.gammaR(len(base) + len(extra))
 		for _, j := range base {
 			vec.Axpy(dst, gamma, from.Row(int(j)))
 		}
 		for _, j := range extra {
 			vec.Axpy(dst, gamma, from.Row(int(j)))
 		}
-		if h.Delta != 0 && g.TargetCount > 0 {
-			vec.Axpy(dst, -h.Delta/(float64(g.TargetCount)*rt), sums.Row(gi))
+		if delta := c.deltaRN(g); delta != 0 {
+			vec.Axpy(dst, -delta, sums.Row(gi))
 		}
 	}
 	vec.Normalize(dst)

@@ -18,26 +18,25 @@ import (
 // source of, ascending (appendSourceGroups). scratch must hold dim
 // floats.
 func roRow(p *Problem, h Hyperparams, sums, from *vec.Matrix, i int, groups []int32, dst, scratch []float64) {
-	rt := float64(p.NumRelTypes[i] + 1)
-	beta := h.Beta / rt
+	c := rowCoeffs(p, h, i)
 	vec.Zero(dst)
-	vec.Axpy(dst, h.Alpha, p.W0.Row(i))
-	if beta != 0 {
-		vec.Axpy(dst, beta, p.Centroids.Row(i))
+	vec.Axpy(dst, c.alpha, p.W0.Row(i))
+	if c.beta != 0 {
+		vec.Axpy(dst, c.beta, p.Centroids.Row(i))
 	}
-	denom := h.Alpha + beta
+	denom := c.alpha + c.beta
 	for _, g32 := range groups {
 		gi := int(g32)
 		g := &p.Groups[gi]
 		base, extra := g.TargetLists(i)
 		od := len(base) + len(extra)
-		gammaSelf := h.Gamma / (float64(od) * rt)
+		gammaSelf := c.gammaR(od)
 		inv := &p.Groups[g.Inverse]
 		nbrSum := scratch
 		vec.Zero(nbrSum)
 		attract := func(j int) {
 			// γ^r̄_j: j is a target of g, hence a source of the inverse.
-			weight := gammaSelf + h.Gamma/(float64(inv.OutDeg(j))*float64(p.NumRelTypes[j]+1))
+			weight := gammaSelf + gammaOf(c.gamma, inv.OutDeg(j), float64(p.NumRelTypes[j]+1))
 			vec.AxpyAcc(dst, weight, from.Row(j), nbrSum)
 			denom += weight
 		}
@@ -47,7 +46,7 @@ func roRow(p *Problem, h Hyperparams, sums, from *vec.Matrix, i int, groups []in
 		for _, j := range extra {
 			attract(int(j))
 		}
-		if dg := deltaRO(g, h); dg != 0 {
+		if dg := c.deltaRO(g); dg != 0 {
 			// -(2·d_g)·(Σ_{k∈T} v_k − Σ_{k∈N(i)} v_k); the diagonal loses
 			// Σ_{k:(i,k)∈Ẽ_r} (δ^r_i + δ^r̄_k) = 2·d_g·(|T_r| − od_r(i)).
 			vec.Axpy(dst, -2*dg, sums.Row(gi))

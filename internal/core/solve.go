@@ -17,6 +17,8 @@ const (
 	RO Variant = iota
 	// RN is the series-based solver (eq. 11).
 	RN
+	// mf is the MF baseline (SolveFaruqui), reachable only from there.
+	mf
 )
 
 func (v Variant) String() string {
@@ -87,27 +89,28 @@ func SolveRNParallel(p *Problem, h Hyperparams, opts ParallelOptions) *Result {
 	return Solve(p, h, RN, opts)
 }
 
-// solve is the one iteration driver. Both variants are Jacobi-style —
+// solve is the one iteration driver. Every variant is Jacobi-style —
 // every row of W^{k+1} depends only on W^k — so an iteration is: sum each
-// distinct target set's vectors of W^k once (eqs. 15/16), then produce
-// every row of W^{k+1} with updateRow, the kernel delta repair also runs.
-// Which groups share a target set and which groups each node is a source
-// of depend only on the problem, so both are worked out once per solve.
-// The row partition changes no floating-point evaluation order within a
-// row or within a target sum, so W is bit-identical for every worker
-// count.
+// distinct target set's vectors of W^k once (eqs. 15/16) when the
+// repulsion term needs them, then produce every row of W^{k+1} with
+// updateRow, the kernel delta repair also runs. Which groups share a
+// target set and which groups each node is a source of (for MF: which
+// nodes are its neighbours) depend only on the problem, so both are worked
+// out once per solve. The row partition changes no floating-point
+// evaluation order within a row or within a target sum, so W is
+// bit-identical for every worker count.
 func solve(p *Problem, h Hyperparams, variant Variant, opts SolveOptions, workers int) *Result {
 	h = h.withDefaults()
 	cur := p.W0.Clone()
 	next := vec.NewMatrix(p.N, p.Dim)
 	sums := vec.NewMatrix(len(p.Groups), p.Dim)
 	shared := sharedTargetSets(p)
-	groupPtr, groupList := sourceGroupLists(p)
-	scratch := vec.NewMatrix(workers, p.Dim)
-	var lossWeights *weights
-	if opts.TrackLoss {
-		lossWeights = deriveWeights(p, h)
+	adjacency := sourceGroupLists
+	if variant == mf {
+		adjacency = undirectedAdjacency
 	}
+	ptr, list := adjacency(p)
+	scratch := vec.NewMatrix(workers, p.Dim)
 	res := &Result{Iterations: h.Iterations}
 
 	for iter := 0; iter < h.Iterations; iter++ {
@@ -116,13 +119,12 @@ func solve(p *Problem, h Hyperparams, variant Variant, opts SolveOptions, worker
 		}
 		parallelRows(p.N, workers, func(worker, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				groups := groupList[groupPtr[i]:groupPtr[i+1]]
-				updateRow(p, h, variant, sums, cur, i, groups, next.Row(i), scratch.Row(worker))
+				updateRow(p, h, variant, sums, cur, i, list[ptr[i]:ptr[i+1]], next.Row(i), scratch.Row(worker))
 			}
 		})
 		cur, next = next, cur
 		if opts.TrackLoss {
-			res.LossHistory = append(res.LossHistory, lossWithWeights(p, lossWeights, cur))
+			res.LossHistory = append(res.LossHistory, Loss(p, h, cur))
 		}
 	}
 	res.W = cur
@@ -202,13 +204,17 @@ func sourceGroupLists(p *Problem) (ptr []int, list []int32) {
 
 // updateRow writes node i's next vector into dst: one application of
 // the variant's row update to the vectors in from, with sums holding the
-// target sums of those same vectors and groups node i's source groups
-// (appendSourceGroups). scratch must hold dim floats.
-func updateRow(p *Problem, h Hyperparams, variant Variant, sums, from *vec.Matrix, i int, groups []int32, dst, scratch []float64) {
-	if variant == RN {
-		rnRow(p, h, sums, from, i, groups, dst)
-	} else {
-		roRow(p, h, sums, from, i, groups, dst, scratch)
+// target sums of those same vectors and adj node i's source groups
+// (appendSourceGroups), or for MF its neighbours (undirectedAdjacency).
+// scratch must hold dim floats.
+func updateRow(p *Problem, h Hyperparams, variant Variant, sums, from *vec.Matrix, i int, adj []int32, dst, scratch []float64) {
+	switch variant {
+	case RN:
+		rnRow(p, h, sums, from, i, adj, dst)
+	case mf:
+		mfRow(p, h, from, i, adj, dst)
+	default:
+		roRow(p, h, sums, from, i, adj, dst, scratch)
 	}
 }
 

@@ -170,6 +170,8 @@ func TestParallelRNMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestParallelTrackLoss: a TrackLoss solve records, after iteration k,
+// exactly Loss of the W that k iterations produce.
 func TestParallelTrackLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	p := randomProblem(t, rng, 20, 4, 2, 2)
@@ -177,6 +179,35 @@ func TestParallelTrackLoss(t *testing.T) {
 	res := SolveROParallel(p, h, ParallelOptions{SolveOptions: SolveOptions{TrackLoss: true}, Workers: 3})
 	if len(res.LossHistory) != 4 {
 		t.Fatalf("loss history = %d", len(res.LossHistory))
+	}
+	for k, got := range res.LossHistory {
+		hk := h
+		hk.Iterations = k + 1
+		if want := Loss(p, h, SolveRO(p, hk, SolveOptions{}).W); got != want {
+			t.Errorf("LossHistory[%d] = %v, Loss of that iteration's W = %v", k, got, want)
+		}
+	}
+}
+
+// TestFaruquiMatchesReference pins the MF kernel on the driver to the
+// baseline's own sequential Jacobi loop, bit for bit, on the golden
+// problems and a grown one with overflow adjacency, on one worker and on
+// three.
+func TestFaruquiMatchesReference(t *testing.T) {
+	problems := append(goldenProblems(t), namedProblem{"overflow", grownProblem(t, 3, false)})
+	for _, pc := range problems {
+		for _, alpha := range []float64{1, 0.5} {
+			want := solveFaruquiNaive(pc.p, alpha, 20)
+			if got := SolveFaruqui(pc.p, alpha, 20).W; !got.Equal(want, 0) {
+				t.Errorf("%s/alpha=%g: SolveFaruqui differs from the reference", pc.name, alpha)
+			}
+			for _, workers := range []int{1, 3} {
+				got := solve(pc.p, Hyperparams{Alpha: alpha, Iterations: 20}, mf, SolveOptions{}, workers).W
+				if !got.Equal(want, 0) {
+					t.Errorf("%s/alpha=%g/w%d: differs from the reference", pc.name, alpha, workers)
+				}
+			}
+		}
 	}
 }
 

@@ -132,7 +132,7 @@ const DefaultANNThreshold = embed.DefaultANNThreshold
 // Config controls Retrofit.
 type Config struct {
 	// Variant selects RO or RN (default RN, the paper's recommendation
-	// for speed at comparable quality).
+	// for speed at comparable quality); Retrofit rejects any other value.
 	Variant Variant
 	// Hyperparams defaults to the paper's per-variant configuration.
 	Hyperparams *Hyperparams
@@ -213,6 +213,9 @@ type Model struct {
 func Retrofit(db *DB, base *Embedding, cfg Config) (*Model, error) {
 	if _, err := embed.ParseQuantMode(cfg.Quantization); err != nil {
 		return nil, fmt.Errorf("retro: %w", err)
+	}
+	if cfg.Variant != RO && cfg.Variant != RN {
+		return nil, fmt.Errorf("retro: unknown solver variant %d", cfg.Variant)
 	}
 	ex, err := extract.FromDB(db, extract.Options{
 		ExcludeColumns:   cfg.ExcludeColumns,

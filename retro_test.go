@@ -2,8 +2,10 @@ package retro
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/retrodb/retro/internal/datagen"
@@ -70,6 +72,18 @@ func TestRetrofitErrors(t *testing.T) {
 	}
 	if _, err := Retrofit(fixtureDB(t), fixtureEmbedding(), Config{Variant: RN}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRetrofitRejectsUnknownVariant: only RO and RN train. Any other
+// value is refused up front, in the words the snapshot decoder uses, so
+// no model can be written that LoadSnapshot would then refuse.
+func TestRetrofitRejectsUnknownVariant(t *testing.T) {
+	for _, v := range []Variant{2, 7, 255} {
+		_, err := Retrofit(fixtureDB(t), fixtureEmbedding(), Config{Variant: v})
+		if want := fmt.Sprintf("unknown solver variant %d", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Variant(%d): err = %v, want one containing %q", v, err, want)
+		}
 	}
 }
 
