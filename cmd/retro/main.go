@@ -326,9 +326,10 @@ func cmdStorage(args []string) error {
 
 // cmdStorageInfo prints what a recovery of the directory would see: the
 // manifest, the base snapshot it starts from, the delta segments it
-// replays, and the WAL tail past the last checkpoint. Read-only — safe
-// on a directory a live server is writing (a checkpoint racing the scan
-// can at worst make the WAL line reflect the pre-rotation log).
+// replays, the WAL tail past the last checkpoint, and last the HNSW
+// graph it installs. Read-only — safe on a directory a live server is
+// writing (a checkpoint racing the scan can at worst make the WAL line
+// reflect the pre-rotation log).
 func cmdStorageInfo(args []string) error {
 	fs := flag.NewFlagSet("storage info", flag.ExitOnError)
 	dir := fs.String("dir", "", "storage directory from 'retro-serve -data-dir' (required)")
@@ -350,24 +351,44 @@ func cmdStorageInfo(args []string) error {
 		baseLine += fmt.Sprintf("  (%d bytes)", fi.Size())
 	}
 	fmt.Printf("base:           %s\n", baseLine)
+	baseGraph := false
 	if f, err := os.Open(basePath); err == nil {
 		if info, err := retro.ReadSnapshotInfo(f); err == nil {
 			fmt.Printf("                %d values, %d dims, format v%d, written %s\n",
 				info.NumValues, info.Dim, info.Version,
 				info.Created.UTC().Format("2006-01-02 15:04:05 MST"))
+			baseGraph = info.HasIndex
 		}
 		f.Close()
 	}
 
+	// The graph recovery installs is the last segment's, else the base's
+	// while no segment changed a vector or carried a newer graph.
+	segGraph := ""
 	fmt.Printf("segments:       %d\n", len(man.Segments))
 	for _, name := range man.Segments {
+		segGraph = ""
 		info, err := storage.ReadSegmentInfo(filepath.Join(*dir, name))
 		if err != nil {
 			fmt.Printf("  %-18s UNREADABLE: %v\n", name, err)
+			baseGraph = false
 			continue
 		}
-		fmt.Printf("  %-18s epochs [%d,%d)  %4d rows  %4d vectors  %8d bytes\n",
-			name, info.FromEpoch, info.ToEpoch, info.Rows, info.Vectors, info.Bytes)
+		fmt.Printf("  %-18s epochs [%d,%d)  %4d rows  %4d vectors  %8d bytes  graph %8d bytes\n",
+			name, info.FromEpoch, info.ToEpoch, info.Rows, info.Vectors, info.Bytes, info.GraphBytes)
+		if info.Vectors > 0 || info.GraphBytes > 0 {
+			baseGraph = false
+		}
+		if info.GraphBytes > 0 {
+			segGraph = fmt.Sprintf("%s  (%d bytes)", name, info.GraphBytes)
+		}
+	}
+	graph := "none — recovery rebuilds the index"
+	switch {
+	case segGraph != "":
+		graph = segGraph
+	case baseGraph:
+		graph = man.Base + "  (HNSW section)"
 	}
 
 	st, records, err := storage.ScanWALInfo(filepath.Join(*dir, man.WAL))
@@ -387,6 +408,7 @@ func cmdStorageInfo(args []string) error {
 		}
 	}
 	fmt.Printf("replay tail:    %d records / %d rows past the last checkpoint\n", tailRecords, tailRows)
+	fmt.Printf("graph:          %s\n", graph)
 	return nil
 }
 

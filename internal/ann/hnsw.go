@@ -248,16 +248,9 @@ func (ix *Index) distNodes(a, b int32) float64 {
 // similarity is undefined for them, and the exact search path skips them
 // too.
 func (ix *Index) Insert(id int, v []float64) error {
-	if len(v) != ix.dim {
-		return fmt.Errorf("ann: vector for id %d has dim %d, index has %d", id, len(v), ix.dim)
-	}
-	n := vec.Norm(v)
-	if n == 0 {
-		return fmt.Errorf("ann: zero vector for id %d", id)
-	}
-	unit := make([]float64, ix.dim)
-	for i, x := range v {
-		unit[i] = x / n
+	unit, n, err := ix.unitOf(id, v)
+	if err != nil {
+		return err
 	}
 
 	slot, held := ix.slots[id]
@@ -286,6 +279,23 @@ func (ix *Index) Insert(id int, v []float64) error {
 	ix.link(bs, slot, moved)
 	ix.releaseBatchScratch(bs)
 	return nil
+}
+
+// unitOf returns v scaled to unit length and its norm. It rejects a
+// vector of the wrong dimension and the zero vector.
+func (ix *Index) unitOf(id int, v []float64) (unit []float64, n float64, err error) {
+	if len(v) != ix.dim {
+		return nil, 0, fmt.Errorf("ann: vector for id %d has dim %d, index has %d", id, len(v), ix.dim)
+	}
+	n = vec.Norm(v)
+	if n == 0 {
+		return nil, 0, fmt.Errorf("ann: zero vector for id %d", id)
+	}
+	unit = make([]float64, ix.dim)
+	for i, x := range v {
+		unit[i] = x / n
+	}
+	return unit, n, nil
 }
 
 // setVector installs unit as slot's vector and returns how far the node
@@ -533,6 +543,37 @@ func (ix *Index) Clone() *Index {
 		cp.rng.Float64()
 	}
 	return cp
+}
+
+// Relabel renames every node's external id through newID — live nodes
+// and tombstones alike — keeping slots, links, vectors and codes. It is
+// how an index follows its store when the store renumbers its rows. It
+// fails, leaving the index untouched, when newID has no id for a node or
+// maps two live nodes to one id. Requires the same external
+// synchronisation as Insert.
+func (ix *Index) Relabel(newID func(old int) (int, bool)) error {
+	ids := make([]int, len(ix.nodes))
+	slots := make(map[int]int32, len(ix.slots))
+	for i := range ix.nodes {
+		nd := &ix.nodes[i]
+		id, ok := newID(nd.id)
+		if !ok {
+			return fmt.Errorf("ann: relabel: no new id for id %d", nd.id)
+		}
+		ids[i] = id
+		if nd.deleted {
+			continue
+		}
+		if _, dup := slots[id]; dup {
+			return fmt.Errorf("ann: relabel: two live nodes map to id %d", id)
+		}
+		slots[id] = int32(i)
+	}
+	for i := range ix.nodes {
+		ix.nodes[i].id = ids[i]
+	}
+	ix.slots = slots
+	return nil
 }
 
 // Delete tombstones an id: it stays in the graph for traversal but is

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 
+	"github.com/retrodb/retro/internal/quant"
 	"github.com/retrodb/retro/internal/wire"
 )
 
@@ -24,10 +25,22 @@ import (
 // slot, since only the insert that creates a slot draws and a move keeps
 // its level — so inserts after a load assign the same levels the original
 // index would have.
+//
+// A second, links-only encoding (WriteLinksTo / ReadLinks) carries the
+// same header, nodes and adjacency but no live node vectors and no codes:
+// the reader recomputes each live node's unit vector from the row its
+// caller holds for the id, down the path Insert takes, and re-encodes the
+// codes with the persisted SQ8 codebook. Only tombstones, which have no
+// row to recompute from, keep their vector in the stream. It is the form
+// a storage checkpoint persists beside rows it already stores. Both
+// encodings go through one writer and one parser, so the node, adjacency
+// and entry-point checks are shared.
 
 const (
 	graphMagic   = "RANN"
 	graphVersion = 1
+	linksMagic   = "RANL"
+	linksVersion = 1
 
 	maxDim      = 1 << 16
 	maxNodes    = 1 << 27
@@ -36,10 +49,26 @@ const (
 )
 
 // WriteTo serialises the index. It implements io.WriterTo.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) {
+func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.writeGraph(w, true) }
+
+// WriteLinksTo serialises the index without its live node vectors and
+// codes (see ReadLinks): the header, every slot's id, tombstone flag and
+// per-layer links, each tombstone's vector, and the SQ8 scales and rerank
+// factor when the index is quantized.
+func (ix *Index) WriteLinksTo(w io.Writer) (int64, error) { return ix.writeGraph(w, false) }
+
+// writeGraph is the one writer behind both encodings. withVectors selects
+// the full graph (every node's vector) over links-only (tombstones' only,
+// plus the quantization trailer).
+func (ix *Index) writeGraph(w io.Writer, withVectors bool) (int64, error) {
 	ww := wire.NewWriter(w)
-	ww.Bytes([]byte(graphMagic))
-	ww.U32(graphVersion)
+	if withVectors {
+		ww.Bytes([]byte(graphMagic))
+		ww.U32(graphVersion)
+	} else {
+		ww.Bytes([]byte(linksMagic))
+		ww.U32(linksVersion)
+	}
 	ww.U32(uint32(ix.dim))
 	ww.U32(uint32(ix.params.M))
 	ww.U32(uint32(ix.params.EfConstruction))
@@ -63,6 +92,9 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 				ww.I32(nb)
 			}
 		}
+		if !withVectors && !nd.deleted {
+			continue
+		}
 		if ix.f32 {
 			// Float32 nodes persist verbatim: the on-disk format has always
 			// been F32-packed, so the two representations share a byte-
@@ -76,6 +108,17 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 			}
 		}
 	}
+	if !withVectors {
+		if ix.quant == nil {
+			ww.U8(0)
+		} else {
+			ww.U8(1)
+			ww.U32(uint32(ix.rerank))
+			for _, s := range ix.quant.Scales() {
+				ww.F64(s)
+			}
+		}
+	}
 	err := ww.Flush()
 	return ww.Count(), err
 }
@@ -83,23 +126,47 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 // Read reconstructs an index serialised by WriteTo. Malformed input —
 // truncation, impossible counts, out-of-range adjacency — is reported as
 // an error, never a panic, so callers can feed it untrusted bytes.
-func Read(r io.Reader) (*Index, error) { return readIndex(r, false) }
+func Read(r io.Reader) (*Index, error) { return readIndex(r, false, nil) }
 
 // Read32 is Read into a float32 index: node vectors are kept as the
 // []float32 the file already stores instead of being widened. Since the
 // on-disk layout is F32-packed regardless of the writer's precision,
 // any graph can be read at either precision without loss.
-func Read32(r io.Reader) (*Index, error) { return readIndex(r, true) }
+func Read32(r io.Reader) (*Index, error) { return readIndex(r, true, nil) }
 
-func readIndex(r io.Reader, f32 bool) (*Index, error) {
+// ReadLinks reconstructs an index serialised by WriteLinksTo, in float32
+// (f32) or float64 representation. row(id) supplies the current row of
+// each live node's id, which the index normalises and stores exactly as
+// Insert would; it returns nil for an id it does not hold, which is an
+// error, as is a zero row. When the stream carries a codebook every node
+// is encoded with it. The result answers queries and evolves under
+// Insert exactly as the written index did, as long as each row is the
+// one the writer last inserted under that id. Malformed input is an
+// error, never a panic.
+func ReadLinks(r io.Reader, f32 bool, row func(id int) []float64) (*Index, error) {
+	if row == nil {
+		return nil, fmt.Errorf("ann: ReadLinks needs a row source")
+	}
+	return readIndex(r, f32, row)
+}
+
+// readIndex is the one parser behind Read, Read32 and ReadLinks. A nil
+// row reads the full encoding, every node's vector from the stream; a
+// non-nil one reads the links-only encoding, live nodes' vectors from
+// row and the quantization trailer after the nodes.
+func readIndex(r io.Reader, f32 bool, row func(id int) []float64) (*Index, error) {
+	wantMagic, wantVersion := graphMagic, uint32(graphVersion)
+	if row != nil {
+		wantMagic, wantVersion = linksMagic, linksVersion
+	}
 	rr := wire.NewReader(r)
-	magic := make([]byte, len(graphMagic))
+	magic := make([]byte, len(wantMagic))
 	rr.Bytes(magic)
-	if rr.Err() == nil && string(magic) != graphMagic {
+	if rr.Err() == nil && string(magic) != wantMagic {
 		return nil, fmt.Errorf("ann: bad graph magic %q", magic)
 	}
-	if v := rr.U32(); rr.Err() == nil && v != graphVersion {
-		return nil, fmt.Errorf("ann: unsupported graph version %d (have %d)", v, graphVersion)
+	if v := rr.U32(); rr.Err() == nil && v != wantVersion {
+		return nil, fmt.Errorf("ann: unsupported graph version %d (have %d)", v, wantVersion)
 	}
 	dim := int(rr.U32())
 	if rr.Err() == nil && (dim <= 0 || dim > maxDim) {
@@ -127,7 +194,7 @@ func readIndex(r io.Reader, f32 bool) (*Index, error) {
 	ix.f32 = f32
 	ix.entry = entry
 	ix.maxLevel = maxLevel
-	ix.nodes = make([]node, 0, min(numNodes, 1<<20))
+	ix.nodes = make([]node, 0, min(numNodes, 1<<16))
 	for i := 0; i < numNodes; i++ {
 		var nd node
 		nd.id = int(rr.I64())
@@ -151,21 +218,34 @@ func readIndex(r io.Reader, f32 bool) (*Index, error) {
 			}
 			nd.neighbors[l] = layer
 		}
-		if f32 {
-			nd.vec32 = make([]float32, dim)
-			for j := range nd.vec32 {
-				nd.vec32[j] = rr.F32()
-			}
-		} else {
-			nd.vec = make([]float64, dim)
-			for j := range nd.vec {
-				nd.vec[j] = float64(rr.F32())
+		if row == nil || nd.deleted {
+			if f32 {
+				nd.vec32 = make([]float32, dim)
+				for j := range nd.vec32 {
+					nd.vec32[j] = rr.F32()
+				}
+			} else {
+				nd.vec = make([]float64, dim)
+				for j := range nd.vec {
+					nd.vec[j] = float64(rr.F32())
+				}
 			}
 		}
 		if err := rr.Err(); err != nil {
 			return nil, fmt.Errorf("ann: node %d: %w", i, err)
 		}
 		ix.nodes = append(ix.nodes, nd)
+		if row != nil && !nd.deleted {
+			v := row(nd.id)
+			if v == nil {
+				return nil, fmt.Errorf("ann: node %d: no row for id %d", i, nd.id)
+			}
+			unit, _, err := ix.unitOf(nd.id, v)
+			if err != nil {
+				return nil, fmt.Errorf("ann: node %d: %w", i, err)
+			}
+			ix.setVector(int32(i), unit)
+		}
 		if !nd.deleted {
 			if _, dup := ix.slots[nd.id]; dup {
 				return nil, fmt.Errorf("ann: duplicate live id %d", nd.id)
@@ -197,6 +277,12 @@ func readIndex(r io.Reader, f32 bool) (*Index, error) {
 			entry, len(ix.nodes[entry].neighbors)-1, maxLevel)
 	}
 
+	if row != nil {
+		if err := ix.readQuantTrailer(rr); err != nil {
+			return nil, err
+		}
+	}
+
 	// Replay the level generator: one draw per slot (a move re-links in
 	// its slot without drawing), so future inserts continue the sequence
 	// the original index would have produced.
@@ -205,4 +291,37 @@ func readIndex(r io.Reader, f32 bool) (*Index, error) {
 		ix.rng.Float64()
 	}
 	return ix, nil
+}
+
+// readQuantTrailer reads the links-only encoding's quantization trailer
+// and, when it carries a codebook, encodes every node with it.
+func (ix *Index) readQuantTrailer(rr *wire.Reader) error {
+	quantized := rr.U8()
+	if err := rr.Err(); err != nil {
+		return fmt.Errorf("ann: reading quant trailer: %w", err)
+	}
+	switch quantized {
+	case 0:
+		return nil
+	case 1:
+	default:
+		return fmt.Errorf("ann: bad quant trailer flag %d", quantized)
+	}
+	rerank := int(rr.U32())
+	scales := make([]float64, ix.dim)
+	for d := range scales {
+		scales[d] = rr.F64()
+	}
+	if err := rr.Err(); err != nil {
+		return fmt.Errorf("ann: reading quant trailer: %w", err)
+	}
+	if rerank <= 0 || rerank > 1<<16 {
+		return fmt.Errorf("ann: implausible rerank factor %d", rerank)
+	}
+	cb, err := quant.NewCodebook(scales)
+	if err != nil {
+		return fmt.Errorf("ann: %w", err)
+	}
+	ix.installQuant(cb, rerank)
+	return nil
 }

@@ -175,3 +175,214 @@ func TestGraphReadRejectsCorrupt(t *testing.T) {
 		}
 	})
 }
+
+// linksIndex builds a float32 or float64 index with moves and tombstones
+// and returns it with the row each live id was last inserted with.
+func linksIndex(t testing.TB, f32, quantized bool) (*Index, map[int][]float64) {
+	t.Helper()
+	const n, dim = 300, 12
+	rng := rand.New(rand.NewSource(11))
+	ix := New(dim, Params{})
+	if f32 {
+		ix = New32(dim, Params{})
+	}
+	rows := make(map[int][]float64, n)
+	if quantized {
+		pre := make([][]float64, n)
+		for i := range pre {
+			pre[i] = queryVec(rng, dim)
+		}
+		ix.TrainSQ8(n, func(i int) []float64 { return pre[i] }, 4)
+		for i, v := range pre {
+			rows[i] = v
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			rows[i] = queryVec(rng, dim)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if err := ix.Insert(i, rows[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		rows[i] = queryVec(rng, dim)
+		if err := ix.Insert(i, rows[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 200; i < 210; i++ {
+		ix.Delete(i)
+		delete(rows, i)
+	}
+	return ix, rows
+}
+
+// fullBytes is the full encoding of an index plus its SQ8 sidecar.
+func fullBytes(t testing.TB, ix *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Quantized() {
+		if _, err := ix.WriteQuantTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestLinksRoundTrip: an index read back from its links over the rows it
+// was built on is the written index — same vectors, codes, links, entry
+// point and level generator — so its full encoding is byte-identical and
+// later inserts evolve both the same way. A float64 index with tombstones
+// is left out of the quantized case: its tombstones come back float32-
+// rounded, and their codes with them.
+func TestLinksRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		f32, quantized bool
+	}{{"f64", false, false}, {"f32", true, false}, {"f32-sq8", true, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, rows := linksIndex(t, tc.f32, tc.quantized)
+			var links bytes.Buffer
+			if _, err := ix.WriteLinksTo(&links); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadLinks(bytes.NewReader(links.Bytes()), tc.f32, func(id int) []float64 { return rows[id] })
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fullBytes(t, ix)
+			if !bytes.Equal(fullBytes(t, got), want) {
+				t.Fatal("index read from its links differs from the written one")
+			}
+			if links.Len() >= len(want) {
+				t.Fatalf("links encoding is %d bytes, the full one %d", links.Len(), len(want))
+			}
+			rng := rand.New(rand.NewSource(5))
+			for i := 1000; i < 1020; i++ {
+				v := queryVec(rng, ix.Dim())
+				if err := ix.Insert(i, v); err != nil {
+					t.Fatal(err)
+				}
+				if err := got.Insert(i, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(fullBytes(t, got), fullBytes(t, ix)) {
+				t.Fatal("inserts after ReadLinks diverged from the written index")
+			}
+		})
+	}
+}
+
+// TestRelabel renames ids without touching the graph: the relabelled
+// index answers every query with the renamed ids in the same order, and
+// a map that loses or merges ids is refused with the index untouched.
+func TestRelabel(t *testing.T) {
+	ix, _ := linksIndex(t, true, true)
+	before := fullBytes(t, ix)
+	if err := ix.Relabel(func(old int) (int, bool) { return 0, true }); err == nil {
+		t.Fatal("relabel merging every id accepted")
+	}
+	if err := ix.Relabel(func(old int) (int, bool) { return old, old != 7 }); err == nil {
+		t.Fatal("relabel losing an id accepted")
+	}
+	if !bytes.Equal(fullBytes(t, ix), before) {
+		t.Fatal("a refused relabel changed the index")
+	}
+	cp := ix.Clone()
+	if err := cp.Relabel(func(old int) (int, bool) { return 10_000 - old, true }); err != nil {
+		t.Fatal(err)
+	}
+	if cp.Len() != ix.Len() || cp.Deleted() != ix.Deleted() {
+		t.Fatalf("relabel changed the shape: %d/%d live, %d/%d deleted", cp.Len(), ix.Len(), cp.Deleted(), ix.Deleted())
+	}
+	rng := rand.New(rand.NewSource(8))
+	for qi := 0; qi < 20; qi++ {
+		q := queryVec(rng, ix.Dim())
+		want, have := ix.TopK(q, 10, nil), cp.TopK(q, 10, nil)
+		for i := range want {
+			if have[i].ID != 10_000-want[i].ID || have[i].Score != want[i].Score {
+				t.Fatalf("query %d rank %d: %+v, want id %d score %v", qi, i, have[i], 10_000-want[i].ID, want[i].Score)
+			}
+		}
+	}
+	if !bytes.Equal(fullBytes(t, ix), before) {
+		t.Fatal("relabelling a clone changed the original")
+	}
+}
+
+// TestReadLinksRejectsCorrupt: links that leave the graph or skip a
+// layer, a bad entry point, a missing or unusable row and a truncated or
+// mislabelled stream are errors, never panics.
+func TestReadLinksRejectsCorrupt(t *testing.T) {
+	ix, rows := linksIndex(t, false, true)
+	row := func(id int) []float64 { return rows[id] }
+	encode := func(mutate func(cp *Index)) []byte {
+		cp := ix.Clone()
+		mutate(cp)
+		var buf bytes.Buffer
+		if _, err := cp.WriteLinksTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	valid := encode(func(*Index) {})
+	if _, err := ReadLinks(bytes.NewReader(valid), false, row); err != nil {
+		t.Fatalf("valid links refused: %v", err)
+	}
+	top := int32(-1) // a slot on layer 1 or above
+	for i := range ix.nodes {
+		if len(ix.nodes[i].neighbors) > 1 {
+			top = int32(i)
+			break
+		}
+	}
+	low := int32(-1) // a slot on layer 0 only
+	for i := range ix.nodes {
+		if len(ix.nodes[i].neighbors) == 1 {
+			low = int32(i)
+			break
+		}
+	}
+	if top < 0 || low < 0 {
+		t.Fatal("fixture has no multi-layer or single-layer node")
+	}
+	cases := map[string][]byte{
+		"link-out-of-range":  encode(func(cp *Index) { cp.nodes[0].neighbors[0] = []int32{int32(len(cp.nodes))} }),
+		"negative-link":      encode(func(cp *Index) { cp.nodes[0].neighbors[0] = []int32{-1} }),
+		"layer-violation":    encode(func(cp *Index) { cp.nodes[top].neighbors[1] = []int32{low} }),
+		"entry-out-of-range": encode(func(cp *Index) { cp.entry = int32(len(cp.nodes)) }),
+		"entry-below-top":    encode(func(cp *Index) { cp.entry = low }),
+		"no-layers":          encode(func(cp *Index) { cp.nodes[3].neighbors = nil }),
+		"bad-magic":          append([]byte("RANN"), valid[4:]...),
+		"truncated":          valid[:len(valid)-1],
+		"bad-trailer":        append(append([]byte{}, valid[:len(valid)-8*ix.dim-5]...), 2),
+	}
+	for name, data := range cases {
+		if _, err := ReadLinks(bytes.NewReader(data), false, row); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	for name, bad := range map[string]func(int) []float64{
+		"missing-row": func(id int) []float64 {
+			if id == 5 {
+				return nil
+			}
+			return rows[id]
+		},
+		"zero-row":  func(int) []float64 { return make([]float64, ix.dim) },
+		"short-row": func(int) []float64 { return []float64{1} },
+	} {
+		if _, err := ReadLinks(bytes.NewReader(valid), false, bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if _, err := ReadLinks(bytes.NewReader(valid), false, nil); err == nil {
+		t.Error("nil row source accepted")
+	}
+}

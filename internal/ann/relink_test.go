@@ -68,7 +68,7 @@ func checkGraph(t *testing.T, ix *Index, wantSlots int) {
 	if _, err := ix.WriteTo(&first); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := readIndex(bytes.NewReader(first.Bytes()), ix.f32)
+	loaded, err := readIndex(bytes.NewReader(first.Bytes()), ix.f32, nil)
 	if err != nil {
 		t.Fatalf("updated graph does not load: %v", err)
 	}

@@ -81,10 +81,11 @@ func FuzzWALRecord(f *testing.F) {
 }
 
 // FuzzSegment covers the outer segment frame (magic, version, length,
-// checksum) over the batch codec.
+// checksum) over the batch codec and the graph section.
 func FuzzSegment(f *testing.F) {
 	f.Add(EncodeSegment(fixtureSegment()))
 	f.Add(EncodeSegment(fixtureSegmentF32()))
+	f.Add(EncodeSegment(fixtureSegmentGraph()))
 	f.Add(EncodeSegment(&Segment{FromEpoch: 1, ToEpoch: 2}))
 	f.Add([]byte("RETROSEG"))
 	f.Fuzz(func(t *testing.T, data []byte) {

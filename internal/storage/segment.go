@@ -7,11 +7,21 @@
 // bit-for-bit. Checkpoint write cost is O(delta), not O(model);
 // recovery applies the chain in order over the base.
 //
+// A segment may also carry the writer's HNSW graph at checkpoint time
+// (Graph): its vocabulary in store id order, so a reader maps the
+// graph's ids by key, and the index's links-only encoding (see
+// ann.Index.WriteLinksTo), whose node vectors a reader recomputes from
+// the rows the base and the chain already hold. The graph commits with
+// the rows it indexes, through the same manifest rename, and travels to
+// followers with the segment.
+//
 // Format versions: version 1 frames every vector as float64 and is
 // still written whenever no float32 delta is present, so F64 engines
 // keep producing byte-identical files. Version 2 adds a per-vector
 // representation byte and is emitted only when an F32 store
-// checkpointed at least one row. Readers accept both.
+// checkpointed at least one row. Version 3 is version 2 plus a trailing
+// graph section, emitted only when the segment carries a graph. Readers
+// accept all three.
 
 package storage
 
@@ -29,6 +39,7 @@ const (
 	segMagic      = "RETROSEG"
 	segVersion    = 1 // float64-only vector frames
 	segVersionF32 = 2 // per-vector representation byte (f64 or f32)
+	segVersionG   = 3 // version 2 plus a trailing graph section
 
 	maxBatches    = 1 << 24
 	maxVectors    = 1 << 28
@@ -52,6 +63,26 @@ type Segment struct {
 	// Vectors are the store rows that changed in the window, keyed by
 	// store word, at the writer's store precision.
 	Vectors []VectorDelta
+	// Graph is the writer's built HNSW graph at checkpoint time, or nil
+	// when its store had none.
+	Graph *Graph
+}
+
+// Graph is a checkpointed HNSW graph: the writer's vocabulary in store
+// id order and the index in its links-only encoding, whose ids are
+// positions in Keys.
+type Graph struct {
+	Keys  []string
+	Links []byte
+}
+
+// Bytes returns the size of the graph section in the segment file.
+func (g *Graph) Bytes() int64 {
+	n := int64(4 + 8 + len(g.Links))
+	for _, k := range g.Keys {
+		n += int64(4 + len(k))
+	}
+	return n
 }
 
 // VectorDelta is one changed store row: exactly one of Vec (an F64
@@ -87,12 +118,16 @@ type SegmentInfo struct {
 	Rows      int
 	Vectors   int
 	Bytes     int64
+	// GraphBytes is the size of the segment's graph section, 0 when it
+	// carries no graph.
+	GraphBytes int64
 }
 
 // EncodeSegment renders a segment to its wire form. Segments whose
 // vectors are all float64 use format version 1 (byte-identical to what
 // this package has always written); a float32 delta switches the file
-// to version 2, which tags each vector with its representation.
+// to version 2, which tags each vector with its representation, and a
+// graph to version 3.
 func EncodeSegment(s *Segment) []byte {
 	version := uint32(segVersion)
 	for i := range s.Vectors {
@@ -100,6 +135,9 @@ func EncodeSegment(s *Segment) []byte {
 			version = segVersionF32
 			break
 		}
+	}
+	if s.Graph != nil {
+		version = segVersionG
 	}
 	var payload bytes.Buffer
 	w := wire.NewWriter(&payload)
@@ -129,6 +167,14 @@ func EncodeSegment(s *Segment) []byte {
 			w.F64(x)
 		}
 	}
+	if s.Graph != nil {
+		w.U32(uint32(len(s.Graph.Keys)))
+		for _, k := range s.Graph.Keys {
+			w.String(k)
+		}
+		w.U64(uint64(len(s.Graph.Links)))
+		w.Bytes(s.Graph.Links)
+	}
 	_ = w.Flush()
 
 	var out bytes.Buffer
@@ -152,7 +198,7 @@ func DecodeSegment(data []byte) (*Segment, error) {
 		return nil, fmt.Errorf("storage: bad segment magic %q", magic)
 	}
 	version := r.U32()
-	if r.Err() == nil && version != segVersion && version != segVersionF32 {
+	if r.Err() == nil && (version < segVersion || version > segVersionG) {
 		return nil, fmt.Errorf("storage: unsupported segment version %d", version)
 	}
 	n := r.U64()
@@ -206,10 +252,34 @@ func DecodeSegment(data []byte) (*Segment, error) {
 		}
 		s.Vectors = append(s.Vectors, VectorDelta{Key: key, Vec: vec})
 	}
+	if version >= segVersionG && pr.Err() == nil {
+		s.Graph = decodeGraph(pr, n)
+	}
 	if err := pr.Err(); err != nil {
 		return nil, fmt.Errorf("storage: segment body: %w", err)
 	}
 	return s, nil
+}
+
+// decodeGraph reads a graph section from a payload of size bytes. The
+// links stay opaque here: the ann reader validates them.
+func decodeGraph(pr *wire.Reader, size uint64) *Graph {
+	g := &Graph{}
+	keys := pr.Count32(maxVectors)
+	g.Keys = make([]string, 0, min(keys, 1<<16))
+	for i := 0; i < keys && pr.Err() == nil; i++ {
+		g.Keys = append(g.Keys, pr.String(maxKeyLen))
+	}
+	links := pr.U64()
+	if pr.Err() == nil && links > size {
+		pr.Fail(fmt.Errorf("storage: graph links length %d exceeds payload size %d", links, size))
+	}
+	if pr.Err() != nil {
+		return nil
+	}
+	g.Links = make([]byte, links)
+	pr.Bytes(g.Links)
+	return g
 }
 
 // WriteSegmentFile persists a segment atomically (temp + fsync +
@@ -240,6 +310,9 @@ func ReadSegmentInfo(path string) (SegmentInfo, error) {
 	info := SegmentInfo{
 		FromEpoch: s.FromEpoch, ToEpoch: s.ToEpoch, WALSeq: s.WALSeq,
 		Vectors: len(s.Vectors),
+	}
+	if s.Graph != nil {
+		info.GraphBytes = s.Graph.Bytes()
 	}
 	for i := range s.Batches {
 		info.Rows += len(s.Batches[i].Rows)

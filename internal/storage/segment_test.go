@@ -102,6 +102,62 @@ func TestSegmentF64StaysVersion1(t *testing.T) {
 	}
 }
 
+// fixtureSegmentGraph is fixtureSegment plus a graph section.
+func fixtureSegmentGraph() *Segment {
+	s := fixtureSegment()
+	s.Graph = &Graph{
+		Keys:  []string{"movies.title\x00matrix", "movies.country\x00usa", "movies.title\x00alien"},
+		Links: []byte("RANL\x01\x00\x00\x00opaque to storage"),
+	}
+	return s
+}
+
+func TestSegmentGraphRoundTrip(t *testing.T) {
+	s := fixtureSegmentGraph()
+	data := EncodeSegment(s)
+	if v := binary.LittleEndian.Uint32(data[len(segMagic):]); v != segVersionG {
+		t.Fatalf("segment with a graph encoded as version %d, want %d", v, segVersionG)
+	}
+	got, err := DecodeSegment(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Graph == nil || !slices.Equal(got.Graph.Keys, s.Graph.Keys) || !bytes.Equal(got.Graph.Links, s.Graph.Links) {
+		t.Fatalf("graph round trip = %+v, want %+v", got.Graph, s.Graph)
+	}
+	// The rows and the float64 vectors before the graph are untouched.
+	if len(got.Batches) != 2 || !sameRows(got.Batches[0].Rows, s.Batches[0].Rows) {
+		t.Fatalf("batches round trip = %+v", got.Batches)
+	}
+	for i, v := range got.Vectors {
+		if v.Key != s.Vectors[i].Key || !slices.Equal(v.Vec, s.Vectors[i].Vec) {
+			t.Fatalf("vector %d = %+v, want %+v", i, v, s.Vectors[i])
+		}
+	}
+	// Without a graph the same segment keeps its version 1 bytes.
+	s.Graph = nil
+	if v := binary.LittleEndian.Uint32(EncodeSegment(s)[len(segMagic):]); v != segVersion {
+		t.Fatalf("graph-free segment encoded as version %d", v)
+	}
+	if got, err := DecodeSegment(EncodeSegment(s)); err != nil || got.Graph != nil {
+		t.Fatalf("graph-free segment decoded with graph %+v, err %v", got.Graph, err)
+	}
+}
+
+func TestSegmentGraphRejectsLyingLength(t *testing.T) {
+	data := EncodeSegment(fixtureSegmentGraph())
+	links := fixtureSegmentGraph().Graph.Links
+	// The links length is the u64 right before the links bytes.
+	off := bytes.Index(data, links) - 8
+	c := slices.Clone(data)
+	binary.LittleEndian.PutUint64(c[off:], 1<<40)
+	payload := c[len(segMagic)+4+8+4:]
+	binary.LittleEndian.PutUint32(c[len(segMagic)+4+8:], crc32.ChecksumIEEE(payload))
+	if _, err := DecodeSegment(c); err == nil || !strings.Contains(err.Error(), "links length") {
+		t.Fatalf("err = %v, want a links length error", err)
+	}
+}
+
 func TestSegmentRejectsUnknownRepresentation(t *testing.T) {
 	data := EncodeSegment(fixtureSegmentF32())
 	// The first vector's representation byte follows the payload header
@@ -156,8 +212,21 @@ func TestSegmentFileAndInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.FromEpoch != 2 || info.ToEpoch != 3 || info.WALSeq != 9 || info.Rows != 3 || info.Vectors != 2 || info.Bytes <= 0 {
+	if info.FromEpoch != 2 || info.ToEpoch != 3 || info.WALSeq != 9 || info.Rows != 3 || info.Vectors != 2 || info.Bytes <= 0 || info.GraphBytes != 0 {
 		t.Fatalf("info = %+v", info)
+	}
+	withGraph := fixtureSegmentGraph()
+	if err := WriteSegmentFile(path, withGraph, nil); err != nil {
+		t.Fatal(err)
+	}
+	info, err = ReadSegmentInfo(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Version 3 also tags each vector with its representation byte.
+	graphless := int64(len(EncodeSegment(fixtureSegment()))) + int64(len(withGraph.Vectors))
+	if info.GraphBytes != withGraph.Graph.Bytes() || info.Bytes != graphless+info.GraphBytes {
+		t.Fatalf("graph bytes %d of %d, want %d of %d", info.GraphBytes, info.Bytes, withGraph.Graph.Bytes(), graphless+withGraph.Graph.Bytes())
 	}
 }
 

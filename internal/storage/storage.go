@@ -9,12 +9,15 @@
 //	                    ordered segment chain, active WAL (atomic rename)
 //	base-NNNNNN.snap    full model snapshot (internal/snapshot format)
 //	seg-NNNNNN.seg      rows committed + vectors changed since the previous
-//	                    checkpoint epoch (O(delta), not O(model))
+//	                    checkpoint epoch (O(delta), not O(model)), plus the
+//	                    writer's HNSW graph as links and keys when its
+//	                    index was built (format v3)
 //	wal-NNNNNN.wal      committed insert batches since the last checkpoint
 //
 // Recovery = manifest -> base -> segments (rows into the database,
-// vectors into the store) -> WAL tail replay through the delta-repair
-// path. Every checkpoint rotates the WAL: a fresh log file is created,
+// vectors into the store) -> the newest graph (the last segment's, else
+// the base's while no segment changed a vector) -> WAL tail replay
+// through the delta-repair path. Every checkpoint rotates the WAL: a fresh log file is created,
 // the manifest is atomically renamed to reference it, and only then is
 // the old log deleted — so at every instant some manifest on disk names
 // a base + segment chain + WAL that together reproduce all acknowledged

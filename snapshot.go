@@ -227,15 +227,19 @@ func resumeModel(db *DB, base *Embedding, m *Model) (*Session, error) {
 		// stored in extraction order and stays aligned; one written after
 		// incremental inserts holds the written values in write order,
 		// while the fresh extraction numbers them column-major. Rebuild
-		// the store in extraction order. The persisted HNSW graph is
-		// keyed by the old rows and cannot be kept — it rebuilds lazily —
-		// but the solver state (the expensive part) is still reused.
+		// the store in extraction order. A loaded HNSW graph indexes the
+		// same rows under the old ids, so it is relabelled and kept.
 		ns := NewEmbeddingWithPrecision(m.store.Dim(), m.store.Precision())
 		applyANNConfig(ns, m.cfg)
 		for _, v := range ex.Values {
 			key := deepwalk.ValueKey(ex, v.ID)
 			vec, _ := m.store.VectorOf(key)
 			ns.Add(key, vec)
+		}
+		if idx := m.store.ANNIndex(); idx != nil {
+			if err := adoptByKey(ns, idx, m.store.Words()); err != nil {
+				return nil, fmt.Errorf("retro: relabelling the snapshot's graph: %w", err)
+			}
 		}
 		m.store = ns
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -266,6 +267,41 @@ func TestResumeSession(t *testing.T) {
 	// above re-linked their repaired values within the deserialised index.
 	if resumed.Model().Store().ANNIndex() == nil {
 		t.Fatal("index discarded by post-resume inserts")
+	}
+}
+
+// TestResumeSessionRelabelsGraph: a snapshot written after inserts holds
+// its values in write order, so resuming renumbers the store into the
+// extraction's order. The snapshot's graph follows the renumbering: it
+// is relabelled and kept, equal by key to the writer's, not rebuilt.
+func TestResumeSessionRelabelsGraph(t *testing.T) {
+	_, sess := trainedWorld(t, 40)
+	w2 := datagen.TMDB(datagen.TMDBConfig{Movies: 40, Dim: 16, Seed: 1})
+	for i := 0; i < 3; i++ {
+		row := benchMovieRow(90_000+i, fmt.Sprintf("relabelled premiere %d", i))
+		row[7] = Int(0) // director_id
+		if err := sess.Insert("movies", row); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w2.DB.Insert("movies", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writer := sess.Model().Store()
+	writer.WarmANN()
+	resumed, err := ResumeSession(w2.DB, w2.Embedding, bytes.NewReader(snapshotBytes(t, sess)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := resumed.Model().Store()
+	if slices.Equal(store.Words(), writer.Words()) {
+		t.Fatal("resume kept the writer's row order; the test does not renumber")
+	}
+	if store.ANNIndex() == nil {
+		t.Fatal("resume dropped the snapshot's graph")
+	}
+	if graphByKey(t, store) != graphByKey(t, writer) {
+		t.Fatal("the relabelled graph differs from the writer's by key")
 	}
 }
 

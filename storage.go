@@ -1,6 +1,7 @@
 package retro
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/retrodb/retro/internal/ann"
 	"github.com/retrodb/retro/internal/storage"
 )
 
@@ -19,16 +21,19 @@ import (
 //     before each insert is acknowledged;
 //   - delta snapshot segments, one per checkpoint, carrying only the rows
 //     committed and the store vectors changed since the previous
-//     checkpoint epoch — O(delta) where a full snapshot is O(model);
+//     checkpoint epoch — O(delta) where a full snapshot is O(model) —
+//     plus, when the store has a built HNSW index, that graph's links
+//     (not its vectors, which the rows already determine);
 //   - a MANIFEST naming the base snapshot, the ordered segment chain and
 //     the active log, replaced by atomic rename so recovery is a pure
 //     function of the directory contents.
 //
 // Recovery replays manifest -> base -> segments -> WAL tail, reattaches
-// the database, and resumes incremental maintenance exactly where the
-// crashed writer left off. Once the segment chain grows past MaxSegments
-// the next checkpoint compacts: it writes a fresh full base snapshot and
-// resets the chain.
+// the database, installs the newest checkpointed graph instead of
+// rebuilding the index, and resumes incremental maintenance exactly
+// where the crashed writer left off. Once the segment chain grows past
+// MaxSegments the next checkpoint compacts: it writes a fresh full base
+// snapshot, graph included, and resets the chain.
 
 // DefaultMaxSegments is the segment-chain length at which a checkpoint
 // compacts into a fresh full base snapshot (see StorageOptions).
@@ -153,8 +158,9 @@ type StorageEngine struct {
 //
 //   - A MANIFEST: recover. Load the base snapshot, apply the segment
 //     chain (rows into the database, vectors into the store), reattach
-//     the database, replay the WAL tail through the delta-repair path,
-//     and sweep orphan files from any interrupted checkpoint.
+//     the database, install the newest checkpointed graph, replay the
+//     WAL tail through the delta-repair path, and sweep orphan files
+//     from any interrupted checkpoint.
 //   - No MANIFEST but exactly one legacy *.snap file: adopt it as the
 //     base of a fresh manifest (the pre-engine single-file format
 //     becomes a degenerate manifest with an empty segment chain).
@@ -237,16 +243,20 @@ func findLegacySnapshot(dir string) (string, error) {
 }
 
 // freshStart trains the initial model and lays down epoch 1: a full
-// base snapshot, an empty log, and the manifest naming both. The
-// session is then RELOADED from the base it just wrote, so the booted
-// state is bit-identical to what any later recovery of this directory
-// produces (the snapshot packs vectors as float32; serving the f64
-// training output directly would make the first boot the odd one out).
+// base snapshot, an empty log, and the manifest naming both. The index
+// is built before the base is written, so the base carries it (with its
+// SQ8 codes) and no boot of this directory builds it again, a crash
+// before the first checkpoint included. The session is then RELOADED
+// from the base it just wrote, so the booted state is bit-identical to
+// what any later recovery of this directory produces (the snapshot packs
+// vectors as float32; serving the f64 training output directly would
+// make the first boot the odd one out).
 func (e *StorageEngine) freshStart(db *DB, base *Embedding, cfg Config) error {
 	sess, err := NewSession(db, base, cfg)
 	if err != nil {
 		return err
 	}
+	sess.Model().Store().WarmANN()
 	baseName := storage.BaseName(1)
 	if err := storage.WriteFileAtomic(filepath.Join(e.dir, baseName), e.sys, sess.Snapshot); err != nil {
 		return fmt.Errorf("retro: writing base snapshot: %w", err)
@@ -297,7 +307,13 @@ func (e *StorageEngine) install(sess *Session, baseName string) error {
 }
 
 // recover rebuilds the full engine state from a manifest: base model,
-// segment chain, database reattachment, WAL tail replay.
+// segment chain, database reattachment, graph, WAL tail replay.
+//
+// The graph recovery installs is the last segment's, if it carries one:
+// it is the writer's index at the newest checkpoint. Otherwise it is the
+// base snapshot's, as long as no segment changed a vector it indexes.
+// Otherwise the index is rebuilt on first use, as for a store that never
+// had one.
 func (e *StorageEngine) recover(db *DB, base *Embedding, man *storage.Manifest) error {
 	f, err := os.Open(filepath.Join(e.dir, man.Base))
 	if err != nil {
@@ -316,6 +332,8 @@ func (e *StorageEngine) recover(db *DB, base *Embedding, man *storage.Manifest) 
 	// checkpointed ones rather than rounded through the base's float32
 	// packing.
 	store := model.Store()
+	var graph *storage.Graph
+	var graphFrom string
 	for _, name := range man.Segments {
 		seg, err := storage.ReadSegmentFile(filepath.Join(e.dir, name))
 		if err != nil {
@@ -328,14 +346,28 @@ func (e *StorageEngine) recover(db *DB, base *Embedding, man *storage.Manifest) 
 				}
 			}
 		}
+		if len(seg.Vectors) > 0 || seg.Graph != nil {
+			// The base graph no longer describes the rows, or a newer
+			// graph replaces it: detach it, so the vectors below are not
+			// re-linked into a graph that is about to be dropped.
+			store.InvalidateANN()
+		}
 		for _, v := range seg.Vectors {
 			store.Add(v.Key, v.Float64())
 		}
+		graph, graphFrom = seg.Graph, name
 	}
 
 	sess, err := resumeModel(db, base, model)
 	if err != nil {
 		return fmt.Errorf("retro: reattaching database after segment replay: %w", err)
+	}
+	// Before the WAL replay: the tail then maintains the installed graph
+	// through the live write path.
+	if graph != nil {
+		if err := installGraph(sess.Model().Store(), graph); err != nil {
+			return fmt.Errorf("retro: installing the graph of segment %s: %w", graphFrom, err)
+		}
 	}
 	// resumeModel may have rebuilt the store (extraction renumbered the
 	// vocabulary); stamp the epoch on whichever store survived. Restored
@@ -367,6 +399,45 @@ func (e *StorageEngine) recover(db *DB, base *Embedding, man *storage.Manifest) 
 		e.replayedRows += rec.Batch.NumRows()
 	}
 	return nil
+}
+
+// installGraph adopts a checkpointed graph as store's index. The graph
+// names its nodes by the writer's store ids, which map to store's ids
+// through the writer's vocabulary, so the two stores may number their
+// rows differently; each live node's vector is recomputed from store's
+// row under the same key.
+func installGraph(store *Embedding, g *storage.Graph) error {
+	idOf := idsByKey(g.Keys, store)
+	idx, err := ann.ReadLinks(bytes.NewReader(g.Links), store.Precision() == F32, func(wid int) []float64 {
+		if id, ok := idOf(wid); ok {
+			return store.Vector(id)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return adoptByKey(store, idx, g.Keys)
+}
+
+// idsByKey maps the ids of a vocabulary, given as keys in id order, to
+// store's ids for the same keys.
+func idsByKey(keys []string, store *Embedding) func(id int) (int, bool) {
+	return func(id int) (int, bool) {
+		if id < 0 || id >= len(keys) {
+			return 0, false
+		}
+		return store.ID(keys[id])
+	}
+}
+
+// adoptByKey installs idx, whose ids are positions in keys, as store's
+// index, relabelled to store's ids for the same keys.
+func adoptByKey(store *Embedding, idx *ann.Index, keys []string) error {
+	if err := idx.Relabel(idsByKey(keys, store)); err != nil {
+		return err
+	}
+	return store.AdoptANN(idx)
 }
 
 // retainRecord adds one durable record to the replication window,
@@ -481,6 +552,15 @@ func (e *StorageEngine) Checkpoint() (CheckpointStats, error) {
 		seg := &storage.Segment{
 			FromEpoch: e.lastCkpt, ToEpoch: newEpoch, WALSeq: e.wal.Seq(),
 			Batches: e.pending,
+		}
+		if idx := store.ANNIndex(); idx != nil {
+			// The graph's links, so recovery installs this index instead
+			// of rebuilding it; its vectors follow from the rows.
+			var links bytes.Buffer
+			if _, err := idx.WriteLinksTo(&links); err != nil {
+				return stats, fmt.Errorf("retro: checkpoint: encoding the graph: %w", err)
+			}
+			seg.Graph = &storage.Graph{Keys: store.Words(), Links: links.Bytes()}
 		}
 		if store.Precision() == F32 {
 			// Persist float32 words directly: no widening round trip, and

@@ -1,6 +1,7 @@
 package retro
 
 import (
+	"crypto/sha256"
 	"errors"
 	"math"
 	"os"
@@ -21,7 +22,8 @@ import (
 //	P1 (durability)  — every acknowledged insert is present; unacked
 //	                   inserts may be present or absent.
 //	P2 (determinism) — two recoveries of the same directory produce
-//	                   bitwise-identical models.
+//	                   bitwise-identical models: store rows, and the HNSW
+//	                   graph compared by key.
 
 // faultSys counts durability calls (fsync + rename, in engine call
 // order) and fails call number failAt and every later one.
@@ -55,14 +57,19 @@ func (f *faultSys) sys() *storage.Sys {
 	}
 }
 
+// crashConfig turns the index on from the first value, so the base and
+// every checkpoint carry a graph.
+var crashConfig = Config{ANNThreshold: 1}
+
 // crashWorkload drives inserts and periodic checkpoints against dir
 // until the injected fault fires, and returns the titles whose inserts
 // were acknowledged. An error return from any step ends the run (the
 // crash). Title rows use primary keys 100+i so reruns never collide
-// with the fixture.
+// with the fixture. Like the server, it warms the index after each
+// write, so each checkpoint finds it built.
 func crashWorkload(t *testing.T, dir string, sys *storage.Sys) (acked []string) {
 	t.Helper()
-	e, err := OpenStorage(dir, fixtureDB(t), fixtureEmbedding(), StorageOptions{Sys: sys})
+	e, err := OpenStorage(dir, fixtureDB(t), fixtureEmbedding(), StorageOptions{Config: crashConfig, Sys: sys})
 	if err != nil {
 		return nil // crashed during open: nothing was acknowledged
 	}
@@ -76,6 +83,7 @@ func crashWorkload(t *testing.T, dir string, sys *storage.Sys) (acked []string) 
 			return acked
 		}
 		acked = append(acked, title)
+		e.Session().Model().Store().WarmANN()
 		if (i+1)%3 == 0 {
 			if _, err := e.Checkpoint(); err != nil {
 				return acked
@@ -85,15 +93,19 @@ func crashWorkload(t *testing.T, dir string, sys *storage.Sys) (acked []string) 
 	return acked
 }
 
-// recoverVectors opens dir cleanly and returns word -> vector copies.
-func recoverVectors(t *testing.T, dir string) (map[string][]float64, []string) {
+// recoverVectors opens dir cleanly and returns word -> vector copies,
+// the table's titles and the hash of the index by key (built first if
+// recovery left it to be built).
+func recoverVectors(t *testing.T, dir string) (map[string][]float64, []string, [sha256.Size]byte) {
 	t.Helper()
-	e, err := OpenStorage(dir, fixtureDB(t), fixtureEmbedding(), StorageOptions{})
+	e, err := OpenStorage(dir, fixtureDB(t), fixtureEmbedding(), StorageOptions{Config: crashConfig})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
 	defer e.Close()
 	store := e.Session().Model().Store()
+	store.WarmANN()
+	graph := graphByKey(t, store)
 	out := make(map[string][]float64, store.Len())
 	for id, w := range store.Words() {
 		v := store.Vector(id)
@@ -106,7 +118,7 @@ func recoverVectors(t *testing.T, dir string) (map[string][]float64, []string) {
 	for i := 0; i < tbl.NumRows(); i++ {
 		titles = append(titles, tbl.Row(i)[1].Str)
 	}
-	return out, titles
+	return out, titles, graph
 }
 
 // TestStorageCrashAtEveryDurabilityPoint sweeps the injected failure
@@ -128,7 +140,7 @@ func TestStorageCrashAtEveryDurabilityPoint(t *testing.T) {
 			t.Logf("failAt=%d: workload completed (%d durability calls)", failAt, fs.calls)
 		}
 
-		vecs, titles := recoverVectors(t, dir)
+		vecs, titles, graph := recoverVectors(t, dir)
 		have := map[string]bool{}
 		for _, title := range titles {
 			have[title] = true
@@ -143,7 +155,10 @@ func TestStorageCrashAtEveryDurabilityPoint(t *testing.T) {
 			}
 		}
 		// P2: recovery is deterministic.
-		vecs2, _ := recoverVectors(t, dir)
+		vecs2, _, graph2 := recoverVectors(t, dir)
+		if graph != graph2 {
+			t.Fatalf("failAt=%d: recovery not deterministic: the two recovered graphs differ by key", failAt)
+		}
 		if len(vecs) != len(vecs2) {
 			t.Fatalf("failAt=%d: recovery vocabularies differ: %d vs %d", failAt, len(vecs), len(vecs2))
 		}
