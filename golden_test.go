@@ -17,16 +17,20 @@ import (
 )
 
 // sessionGolden holds one line per write of TestGoldenSession's schedule:
-// the case name and a SHA-256 prefix of the session state after it.
+// the case name, then SHA-256 prefixes of the model and of the graph
+// after it.
 var sessionGolden = filepath.Join("testdata", "golden", "session.txt")
 
 // TestGoldenSession pins the write path's output itself, where the other
 // session tests only check relations between paths (batch against loop,
 // incremental against a full solve). It runs a fixed schedule on the
 // served world of session_relink_test.go — f32 rows, SQ8 codes, the index
-// built up front — and after every write hashes each store row's float32
-// bits, the graph and its codes (WriteTo + WriteQuantTo) and the repair's
-// touched count. A change that means to leave the program as it is leaves
+// built up front — and after every write records two columns: the model
+// (each store row's float32 bits and the repair's touched count) and the
+// graph (WriteTo + WriteQuantTo). The columns move apart: a change to how
+// the index links its nodes moves only the graph column, and the model
+// column proves it left the vectors alone. A change that means to leave
+// the program as it is leaves
 // testdata/golden/session.txt byte-identical; one that changes numbers on
 // purpose regenerates it with
 //
@@ -45,7 +49,8 @@ func TestGoldenSession(t *testing.T) {
 	sess := servedSession(t)
 	var got strings.Builder
 	record := func(name string) {
-		fmt.Fprintf(&got, "%s %s\n", name, sessionDigest(t, sess))
+		model, graph := sessionDigest(t, sess)
+		fmt.Fprintf(&got, "%s %s %s\n", name, model, graph)
 	}
 
 	id := 90_000
@@ -102,10 +107,10 @@ func TestGoldenSession(t *testing.T) {
 	}
 }
 
-// sessionDigest hashes what a write leaves behind: every store row (its
-// key and float32 bits, in id order), the graph and its codes, and how
-// many nodes the last repair re-solved.
-func sessionDigest(t *testing.T, sess *Session) string {
+// sessionDigest hashes what a write leaves behind, in two parts: the
+// model — every store row (its key and float32 bits, in id order) and
+// how many nodes the last repair re-solved — and the graph with its codes.
+func sessionDigest(t *testing.T, sess *Session) (model, graph string) {
 	t.Helper()
 	store := sess.Model().Store()
 	h := sha256.New()
@@ -115,12 +120,13 @@ func sessionDigest(t *testing.T, sess *Session) string {
 			writeUint(h, uint64(math.Float32bits(x)))
 		}
 	}
+	writeUint(h, uint64(sess.LastRepair().Touched))
+	model = fmt.Sprintf("%x", h.Sum(nil))[:16]
 	// A full re-solve builds a new store whose index waits for the first
 	// query; build it as that query would.
 	store.WarmANN()
-	h.Write(graphBytes(t, sess))
-	writeUint(h, uint64(sess.LastRepair().Touched))
-	return fmt.Sprintf("%x", h.Sum(nil))[:16]
+	graph = fmt.Sprintf("%x", sha256.Sum256(graphBytes(t, sess)))[:16]
+	return model, graph
 }
 
 func writeUint(h hash.Hash, x uint64) {

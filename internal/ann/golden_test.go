@@ -17,7 +17,8 @@ import (
 )
 
 // indexGolden holds one line per flavour of TestGoldenIndex: the flavour
-// name and a SHA-256 prefix of what the index built, moved and answered.
+// name, then SHA-256 prefixes of the model the index holds and of the
+// graph it built over it and answered from.
 var indexGolden = filepath.Join("testdata", "golden", "index.txt")
 
 // goldenFlavours are the four index flavours: float64 or float32 nodes,
@@ -37,10 +38,13 @@ var goldenFlavours = []struct {
 // walk, recall against a fresh build). In each flavour it builds 3000
 // clustered vectors of 48 dims, moves 1500 of them in place by 1e-6..1e-1
 // in 1 - cosine, and runs 300 queries once with no skip and once skipping
-// odd ids. It hashes the graph and its codes (WriteTo + WriteQuantTo),
-// every result's id and score bits, and each query's Hops, Nodes,
-// Reranked and Quantized. A change that means to leave the program as it
-// is leaves testdata/golden/index.txt byte-identical; one that changes
+// odd ids. It records two columns: the model (every slot's id and vector
+// bits, and on SQ8 its code and correction) and the graph (the links-only
+// encoding, every result's id and score bits, and each query's Hops,
+// Nodes, Reranked and Quantized). A change to how nodes are linked moves
+// only the graph column; the model column proves the vectors and codes
+// stayed put. A change that means to leave the program as it is leaves
+// testdata/golden/index.txt byte-identical; one that changes
 // numbers on purpose regenerates it with
 //
 //	UPDATE_GOLDEN=1 go test -run TestGoldenIndex ./internal/ann
@@ -81,14 +85,27 @@ func TestGoldenIndex(t *testing.T) {
 			}
 		}
 
-		h := sha256.New()
-		if _, err := ix.WriteTo(h); err != nil {
-			t.Fatal(err)
-		}
-		if f.sq8 {
-			if _, err := ix.WriteQuantTo(h); err != nil {
-				t.Fatal(err)
+		m := sha256.New()
+		for i := range ix.nodes {
+			nd := &ix.nodes[i]
+			writeUint(m, uint64(nd.id))
+			for _, x := range nd.vec {
+				writeUint(m, math.Float64bits(x))
 			}
+			for _, x := range nd.vec32 {
+				writeUint(m, uint64(math.Float32bits(x)))
+			}
+			if f.sq8 {
+				for _, c := range ix.code(int32(i)) {
+					m.Write([]byte{byte(c)})
+				}
+				writeUint(m, math.Float64bits(ix.qcorr[i]))
+			}
+		}
+
+		h := sha256.New()
+		if _, err := ix.WriteLinksTo(h); err != nil {
+			t.Fatal(err)
 		}
 		odd := func(id int) bool { return id%2 == 1 }
 		var dst []Result
@@ -110,7 +127,7 @@ func TestGoldenIndex(t *testing.T) {
 				}
 			}
 		}
-		fmt.Fprintf(&got, "%s %x\n", f.name, h.Sum(nil)[:8])
+		fmt.Fprintf(&got, "%s %x %x\n", f.name, m.Sum(nil)[:8], h.Sum(nil)[:8])
 	}
 
 	if os.Getenv("UPDATE_GOLDEN") != "" {
