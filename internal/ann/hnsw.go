@@ -21,11 +21,18 @@
 // Updates keep slots stable. Insert of an id the index already holds moves
 // that node: it keeps its slot and level, takes the new vector (and code)
 // and is re-linked by the same routine that links a first insert — search
-// on the serving kernel, select on exact distances (see link). There is
-// no threshold below which a move is too small to re-link: every move
-// pays the full search and selection, so a graph that has been updated
-// all over serves the recall of one the same routine builds from scratch
-// (the package's property tests hold it to that). Tombstones arise only
+// on the serving kernel, select on exact distances (see link). On an
+// unquantized index every move pays that search and selection. On a
+// quantized one the scale of a move is the quantizer's own resolution: a
+// move that leaves the node's SQ8 code byte for byte as it was keeps the
+// node's links, because every beam — a query's or a construction's —
+// scores the node on that code and so finds it exactly where its links
+// say it is; only the exact re-rank sees the new vector. The code is
+// re-encoded from the current vector on every move, so small moves cannot
+// pile up behind the gate: the first one that crosses a code step
+// re-links. Either way a graph that has been updated all over serves the
+// recall of one the same routine builds from scratch (the package's
+// property tests hold it to that). Tombstones arise only
 // from Delete — an explicit removal, or a row that became the zero
 // vector, which cosine cannot place — and the store rebuilds the index
 // once they outnumber the live nodes.
@@ -139,6 +146,14 @@ type Index struct {
 	// re-link re-encode a moved node's code in place.
 	qflat []int8
 	qcorr []float64
+	// qscratch is where setVector encodes a moved node's new code before
+	// comparing it with the old one. Private to this index: Clone leaves
+	// it nil, so divergent clones never share it.
+	qscratch []int8
+
+	// linked counts the nodes link has connected — first inserts and the
+	// moves that re-linked — over the index's life (see Linked).
+	linked uint64
 }
 
 // visitedSet is reusable per-traversal scratch: a slot-indexed mark array
@@ -243,10 +258,13 @@ func (ix *Index) distNodes(a, b int32) float64 {
 
 // Insert adds a vector under the given id, or — when the index already
 // holds the id — moves that node to the new vector in place: same slot,
-// same level, no draw from the level generator, no tombstone. Either way
-// the node is then connected by link. Zero vectors are rejected: cosine
-// similarity is undefined for them, and the exact search path skips them
-// too.
+// same level, no draw from the level generator, no tombstone. A new node
+// is then connected by link, and so is a moved one, unless the index is
+// quantized and the move left the node's SQ8 code unchanged: the node
+// keeps its links, since every beam scores it on that code (see the
+// package doc). Zero and non-finite vectors are rejected: cosine
+// similarity is undefined for them, and a NaN unit vector or code would
+// poison every beam and selection that scored it.
 func (ix *Index) Insert(id int, v []float64) error {
 	unit, n, err := ix.unitOf(id, v)
 	if err != nil {
@@ -256,7 +274,11 @@ func (ix *Index) Insert(id int, v []float64) error {
 	slot, held := ix.slots[id]
 	moved := 0.0
 	if held {
-		moved = ix.setVector(slot, unit)
+		var recoded bool
+		moved, recoded = ix.setVector(slot, unit)
+		if ix.quant != nil && !recoded {
+			return nil
+		}
 	} else {
 		level := int(math.Floor(-math.Log(1-ix.rng.Float64()) * ix.levelMult))
 		slot = int32(len(ix.nodes))
@@ -282,7 +304,9 @@ func (ix *Index) Insert(id int, v []float64) error {
 }
 
 // unitOf returns v scaled to unit length and its norm. It rejects a
-// vector of the wrong dimension and the zero vector.
+// vector of the wrong dimension, the zero vector and a vector whose norm
+// is not finite (a NaN or infinite component, or one too large to
+// square).
 func (ix *Index) unitOf(id int, v []float64) (unit []float64, n float64, err error) {
 	if len(v) != ix.dim {
 		return nil, 0, fmt.Errorf("ann: vector for id %d has dim %d, index has %d", id, len(v), ix.dim)
@@ -290,6 +314,9 @@ func (ix *Index) unitOf(id int, v []float64) (unit []float64, n float64, err err
 	n = vec.Norm(v)
 	if n == 0 {
 		return nil, 0, fmt.Errorf("ann: zero vector for id %d", id)
+	}
+	if math.IsNaN(n) || math.IsInf(n, 0) {
+		return nil, 0, fmt.Errorf("ann: non-finite vector for id %d", id)
 	}
 	unit = make([]float64, ix.dim)
 	for i, x := range v {
@@ -299,15 +326,16 @@ func (ix *Index) unitOf(id int, v []float64) (unit []float64, n float64, err err
 }
 
 // setVector installs unit as slot's vector and returns how far the node
-// moved, as 1 - cosine against the vector it replaces (0 for a new node).
-// The node gets a fresh slice — the old one may be shared with a Clone
-// that readers are still traversing — while its code is re-encoded in
-// place, in the slot's own window of the code array, which no other index
-// shares (see Index.qflat). On an f32 index the float64 unit vector is
-// narrowed once, here; traversal, quantization and persistence all read
-// the rounded copy, so every downstream consumer sees one consistent
-// value.
-func (ix *Index) setVector(slot int32, unit []float64) (moved float64) {
+// moved, as 1 - cosine against the vector it replaces (0 for a new node),
+// and whether it rewrote any byte of the slot's SQ8 code (false on an
+// unquantized index). The node gets a fresh slice — the old one may be
+// shared with a Clone that readers are still traversing — while its code
+// is re-encoded in place, in the slot's own window of the code array,
+// which no other index shares (see Index.qflat). On an f32 index the
+// float64 unit vector is narrowed once, here; traversal, quantization and
+// persistence all read the rounded copy, so every downstream consumer
+// sees one consistent value.
+func (ix *Index) setVector(slot int32, unit []float64) (moved float64, recoded bool) {
 	nd := &ix.nodes[slot]
 	if ix.f32 {
 		fresh := vec.Narrow(make([]float32, ix.dim), unit)
@@ -322,9 +350,19 @@ func (ix *Index) setVector(slot int32, unit []float64) (moved float64) {
 		nd.vec = unit
 	}
 	if ix.quant != nil {
-		ix.qcorr[slot] = ix.encode(ix.code(slot), nd)
+		// The correction is a function of the code alone, so an unchanged
+		// code leaves it unchanged too.
+		if ix.qscratch == nil {
+			ix.qscratch = make([]int8, ix.dim)
+		}
+		corr := ix.encode(ix.qscratch, nd)
+		if code := ix.code(slot); !slices.Equal(code, ix.qscratch) {
+			copy(code, ix.qscratch)
+			ix.qcorr[slot] = corr
+			recoded = true
+		}
 	}
-	return moved
+	return moved, recoded
 }
 
 // link connects slot, whose vector is in place and prepared as the query
@@ -358,6 +396,7 @@ func (ix *Index) setVector(slot int32, unit []float64) (moved float64) {
 // from the selection, as a new node would, and the neighbours it left
 // behind are repaired (see relinkAbandoned).
 func (ix *Index) link(bs *batchScratch, slot int32, moved float64) {
+	ix.linked++
 	s := &bs.states[0]
 	level := len(ix.nodes[slot].neighbors) - 1
 	// Greedy descent through the layers above the node's level: a descent
@@ -527,6 +566,7 @@ func (ix *Index) Clone() *Index {
 		levelMult: ix.levelMult,
 		rng:       rand.New(rand.NewSource(ix.params.Seed)),
 		deleted:   ix.deleted,
+		linked:    ix.linked,
 		quant:     ix.quant, // immutable once trained
 		rerank:    ix.rerank,
 		qflat:     slices.Clone(ix.qflat),
@@ -588,6 +628,14 @@ func (ix *Index) Delete(id int) bool {
 	ix.deleted++
 	return true
 }
+
+// Linked returns how many times Insert has linked a node over the index's
+// life: every new node but the first (which has nothing to link to) and
+// every move that changed the node's code, or every move at all on an
+// unquantized index. Clone copies the count, so a writer that had to
+// clone a frozen index reads one running count across the clone. Requires
+// the same external synchronisation as Insert.
+func (ix *Index) Linked() uint64 { return ix.linked }
 
 // Deleted returns the number of tombstoned nodes still in the graph.
 // Tombstones cost traversal time and widen the query beam; callers

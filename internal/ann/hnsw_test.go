@@ -1,6 +1,8 @@
 package ann
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -219,7 +221,51 @@ func TestInsertErrors(t *testing.T) {
 	if err := ix.Insert(0, []float64{0, 0, 0, 0}); err == nil {
 		t.Fatal("zero vector not rejected")
 	}
+	// Vectors whose norm is not finite: a NaN or infinite component, or
+	// finite components too large to square.
+	nonFinite := [][]float64{
+		{math.NaN(), 1, 0, 0},
+		{math.Inf(1), 0, 0, 0},
+		{1, math.Inf(-1), 0, 0},
+		{1e200, 1e200, 0, 0},
+	}
+	for _, v := range nonFinite {
+		if err := ix.Insert(0, v); err == nil {
+			t.Fatalf("non-finite vector %v not rejected", v)
+		}
+	}
 	if got := ix.TopK([]float64{1, 0, 0, 0}, 3, nil); got != nil {
 		t.Fatalf("empty index returned %+v", got)
+	}
+
+	// A held node is not moved to a non-finite vector either: the
+	// rejection leaves its vector, code and links as they were.
+	q := New(4, Params{})
+	q.TrainSQ8(2, func(i int) []float64 { return []float64{1, float64(i), 0, 0} }, 0)
+	for id := 0; id < 2; id++ {
+		if err := q.Insert(id, []float64{1, float64(id), 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after bytes.Buffer
+	if _, err := q.WriteTo(&before); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.WriteQuantTo(&before); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range nonFinite {
+		if err := q.Insert(1, v); err == nil {
+			t.Fatalf("move to non-finite vector %v not rejected", v)
+		}
+	}
+	if _, err := q.WriteTo(&after); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.WriteQuantTo(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("a rejected move changed the index")
 	}
 }

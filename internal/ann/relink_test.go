@@ -389,3 +389,200 @@ func TestBuildOnCodesMatchesBuildOnExact(t *testing.T) {
 		t.Fatalf("recall@10 built on codes %.4f vs built on exact %.4f: more than 0.005 apart", a, b)
 	}
 }
+
+// sq8Worlds are the two quantized flavours, codebook trained on the rows
+// before the build as the store does it.
+var sq8Worlds = []struct {
+	name string
+	new  func(dim int, sample [][]float64) *Index
+}{
+	{"f64-sq8", func(dim int, sample [][]float64) *Index {
+		ix := New(dim, Params{})
+		ix.TrainSQ8(len(sample), func(i int) []float64 { return sample[i] }, 0)
+		return ix
+	}},
+	relinkWorlds[1],
+}
+
+// encodedAs is the SQ8 code Insert stores for v: v unit-normalised, on
+// an f32 index narrowed first.
+func encodedAs(ix *Index, v []float64) []int8 {
+	code := make([]int8, ix.dim)
+	if ix.f32 {
+		ix.quant.Encode32(code, vec.Narrow(make([]float32, ix.dim), unitOf(v)))
+	} else {
+		ix.quant.Encode(code, unitOf(v))
+	}
+	return code
+}
+
+func linksOf(t *testing.T, ix *Index) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if _, err := ix.WriteLinksTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestMoveWithinCodeKeepsLinks: on a quantized index, a move that leaves
+// the node's SQ8 code as it was keeps every link in the graph as it was —
+// the links-only encoding is byte-identical — while the node does take
+// its new vector: the exact re-rank scores it at the new one.
+func TestMoveWithinCodeKeepsLinks(t *testing.T) {
+	const n, dim, tries = 1500, 24, 200
+	for _, w := range sq8Worlds {
+		t.Run(w.name, func(t *testing.T) {
+			vectors := clusteredVectors(n, dim, 101)
+			ix := buildWorld(t, w.new, vectors)
+			rng := rand.New(rand.NewSource(102))
+			type move struct {
+				id       int
+				old, new []float64
+			}
+			var moves []move
+			for _, id := range rng.Perm(n)[:tries] {
+				to := nudged(rng, vectors[id], math.Pow(10, -9+2*rng.Float64()))
+				if slices.Equal(encodedAs(ix, to), ix.code(ix.slots[id])) {
+					moves = append(moves, move{id, vectors[id], to})
+				}
+			}
+			if len(moves) < tries/2 {
+				t.Fatalf("only %d of %d tiny moves keep their code: the test moves too far", len(moves), tries)
+			}
+
+			before, linked := linksOf(t, ix), ix.Linked()
+			for _, m := range moves {
+				if err := ix.Insert(m.id, m.new); err != nil {
+					t.Fatal(err)
+				}
+				vectors[m.id] = m.new
+			}
+			if !bytes.Equal(linksOf(t, ix), before) {
+				t.Fatalf("%d moves within the code changed the graph's links", len(moves))
+			}
+			if ix.Linked() != linked {
+				t.Fatalf("%d moves within the code linked %d nodes, want 0", len(moves), ix.Linked()-linked)
+			}
+			checkGraph(t, ix, n)
+
+			// Query each moved node's old position: the re-rank must score
+			// the node at its new vector, not the one it left.
+			var q32 []float32
+			stale := 0
+			for _, m := range moves {
+				nd := &ix.nodes[ix.slots[m.id]]
+				q := unitOf(m.old)
+				want := vec.Dot(q, unitOf(m.new))
+				if ix.f32 {
+					q32 = vec.Narrow(make([]float32, dim), q)
+					want = vec.Dot32(q32, nd.vec32)
+					if want == vec.Dot32(q32, vec.Narrow(make([]float32, dim), unitOf(m.old))) {
+						stale++ // the move is below float32 resolution here
+					}
+				}
+				hits := ix.TopK(m.old, 10, nil)
+				i := slices.IndexFunc(hits, func(r Result) bool { return r.ID == m.id })
+				if i < 0 {
+					t.Fatalf("id %d not among the 10 nearest to its old position: %+v", m.id, hits)
+				}
+				if hits[i].Score != want {
+					t.Fatalf("id %d scored %.17g, want %.17g: the exact re-rank does not see the new vector", m.id, hits[i].Score, want)
+				}
+			}
+			if stale == len(moves) {
+				t.Fatal("no move changed a stored vector: the score check proves nothing")
+			}
+			t.Logf("%d of %d tiny moves kept their code and their links", len(moves), tries)
+		})
+	}
+}
+
+// TestMoveAcrossCodeRelinks: a move that changes the node's code is
+// re-linked, on both quantized flavours; on an unquantized index every
+// move is, however small.
+func TestMoveAcrossCodeRelinks(t *testing.T) {
+	const n, dim = 800, 24
+	vectors := clusteredVectors(n, dim, 111)
+	for _, w := range append(slices.Clone(sq8Worlds), relinkWorlds[0]) {
+		t.Run(w.name, func(t *testing.T) {
+			vs := slices.Clone(vectors)
+			ix := buildWorld(t, w.new, vs)
+			rng := rand.New(rand.NewSource(112))
+			recoded := 0
+			for _, id := range rng.Perm(n)[:100] {
+				eps := 1e-2
+				if ix.quant == nil {
+					eps = 1e-9
+				}
+				to := nudged(rng, vs[id], eps)
+				slot := ix.slots[id]
+				changes := ix.quant == nil || !slices.Equal(encodedAs(ix, to), ix.code(slot))
+				if !changes {
+					continue
+				}
+				recoded++
+				linked := ix.Linked()
+				if err := ix.Insert(id, to); err != nil {
+					t.Fatal(err)
+				}
+				vs[id] = to
+				if got := ix.Linked() - linked; got != 1 {
+					t.Fatalf("id %d: a move that changed the code linked %d nodes, want 1", id, got)
+				}
+				if ix.quant != nil && !slices.Equal(ix.code(slot), encodedAs(ix, to)) {
+					t.Fatalf("id %d: stored code is not the encoding of the new vector", id)
+				}
+			}
+			if recoded == 0 {
+				t.Fatal("no move changed a code: the test does not reach the re-link")
+			}
+			checkGraph(t, ix, n)
+		})
+	}
+}
+
+// TestRelinkSubCodeMovesKeepRecall: ten rounds in which every vector
+// moves by 1e-9..1e-6 in 1 - cosine — most moves on a quantized index then
+// stay within their code and keep their links — leave a graph that serves
+// the recall of one built fresh from the final vectors, and every stored
+// code is the encoding of its node's current vector: nothing drifts
+// behind the gate.
+func TestRelinkSubCodeMovesKeepRecall(t *testing.T) {
+	const dim = 32
+	n, rounds := propertySize(1200, 10)
+	for _, w := range relinkWorlds {
+		t.Run(w.name, func(t *testing.T) {
+			vectors := randomVectors(n, dim, 121)
+			queries := randomVectors(100, dim, 122)
+			ix := buildWorld(t, w.new, vectors)
+			rng := rand.New(rand.NewSource(123))
+			linked := ix.Linked()
+			for r := 0; r < rounds; r++ {
+				for id := range vectors {
+					vectors[id] = nudged(rng, vectors[id], math.Pow(10, -9+3*rng.Float64()))
+					if err := ix.Insert(id, vectors[id]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				checkGraph(t, ix, n)
+				if ix.quant != nil {
+					for id, v := range vectors {
+						if !slices.Equal(ix.code(ix.slots[id]), encodedAs(ix, v)) {
+							t.Fatalf("round %d: id %d's stored code is not the encoding of its current vector", r, id)
+						}
+					}
+				}
+				got, fresh := recallAt10(ix, vectors, queries), recallAt10(buildWorld(t, w.new, vectors), vectors, queries)
+				t.Logf("round %d: recall@10 %.4f, fresh build %.4f", r, got, fresh)
+				if got < fresh-0.01 {
+					t.Fatalf("round %d: recall@10 %.4f fell more than 0.01 below a fresh build's %.4f", r, got, fresh)
+				}
+			}
+			t.Logf("%d of %d moves re-linked", ix.Linked()-linked, n*rounds)
+			if ix.quant != nil && ix.Linked()-linked == uint64(n*rounds) {
+				t.Fatal("every sub-code move re-linked: the gate never held")
+			}
+		})
+	}
+}

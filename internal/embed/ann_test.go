@@ -2,6 +2,7 @@ package embed
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -230,5 +231,47 @@ func TestOverwritesMoveInPlaceZeroingTombstones(t *testing.T) {
 	s.WarmANN()
 	if idx := s.ANNIndex(); idx == nil || idx == built || idx.Deleted() != 0 || idx.Len() != n/2-1 {
 		t.Fatal("rebuild after deletions did not produce a fresh tombstone-free index over the non-zero rows")
+	}
+}
+
+// TestNonFiniteRowsAreUnplaceable: a row written to a NaN or infinite
+// vector is treated as a zero row — the index deletes its node, keeps
+// serving, and is not marked for a rebuild — and a build skips such rows.
+func TestNonFiniteRowsAreUnplaceable(t *testing.T) {
+	const n, dim = 300, 8
+	for _, p := range []Precision{F64, F32} {
+		t.Run(p.String(), func(t *testing.T) {
+			s := NewStoreWithPrecision(dim, p)
+			src := randomStore(n, dim, 11)
+			for id := 0; id < n; id++ {
+				s.Add(src.Word(id), src.Vector(id))
+			}
+			s.EnableANN(100, ann.Params{})
+			s.WarmANN()
+			built := s.ANNIndex()
+
+			nan, inf := make([]float64, dim), make([]float64, dim)
+			nan[0], inf[1] = math.NaN(), math.Inf(-1)
+			s.SetVector(0, nan)
+			s.SetVector(1, inf)
+			idx := s.ANNIndex()
+			if idx != built || idx.Deleted() != 2 || idx.Len() != n-2 || idx.Contains(0) || idx.Contains(1) {
+				t.Fatalf("after two non-finite writes: same index %v, %d tombstones, %d live; want the built index, 2 and %d", idx == built, idx.Deleted(), idx.Len(), n-2)
+			}
+			for _, m := range s.TopK(s.Vector(2), 10, nil) {
+				if m.ID < 2 || math.IsNaN(m.Score) {
+					t.Fatalf("query answered %+v", m)
+				}
+			}
+			if s.ANNIndex() != built {
+				t.Fatal("a query after non-finite writes rebuilt the index")
+			}
+
+			c := s.Clone()
+			c.WarmANN()
+			if idx := c.ANNIndex(); idx == nil || idx.Deleted() != 0 || idx.Len() != n-2 {
+				t.Fatal("a build did not skip the non-finite rows")
+			}
+		})
 	}
 }

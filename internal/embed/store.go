@@ -7,6 +7,7 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -571,13 +572,15 @@ func (s *Store) ensureNormCache() {
 	}
 }
 
-// annUpdate folds a single-row change into a built index. A non-zero row
+// annUpdate folds a single-row change into a built index. A placeable row
 // is inserted, or — when the index already holds it — moved in place: it
-// keeps its graph slot and is re-linked at its new position (see
-// ann.Index.Insert), however small the move; the index has no threshold
-// to tune and a run of updates leaves no tombstones behind. A row that
-// became the zero vector is deleted (the exact scan skips it too), which
-// is the one way a store write tombstones a node.
+// keeps its graph slot and takes its new vector (see ann.Index.Insert).
+// A moved node is re-linked at its new position unless the index is
+// quantized and the move left its SQ8 code unchanged; that gate is the
+// quantizer's own resolution, so there is still no threshold to tune, and
+// a run of updates leaves no tombstones behind. A row that became the
+// zero vector, or a non-finite one, is deleted (the exact scan skips the
+// zero vector too), which is the one way a store write tombstones a node.
 func (s *Store) annUpdate(id int) {
 	s.annMu.Lock()
 	defer s.annMu.Unlock()
@@ -591,7 +594,7 @@ func (s *Store) annUpdate(id int) {
 		s.sharedANN = false
 	}
 	r := s.widenRowLocked(id)
-	if vec.Norm(r) == 0 {
+	if !placeable(r) {
 		// Once the dead outnumber the living the graph wastes more
 		// traversal than a rebuild costs, and recall degrades (the query
 		// beam only widens so far) — rebuild lazily.
@@ -599,8 +602,16 @@ func (s *Store) annUpdate(id int) {
 			s.annStale = true
 		}
 	} else if err := s.annIndex.Insert(id, r); err != nil {
-		s.annStale = true // can't happen (dim checked, non-zero), but stay safe
+		s.annStale = true // can't happen (dim checked, placeable), but stay safe
 	}
+}
+
+// placeable reports whether the index can hold r: cosine places a row
+// only when its norm is non-zero and finite, and ann.Index.Insert rejects
+// every other row.
+func placeable(r []float64) bool {
+	n := vec.Norm(r)
+	return n != 0 && !math.IsNaN(n) && !math.IsInf(n, 0)
 }
 
 func (s *Store) growTo(n int) {
@@ -1156,11 +1167,11 @@ func (s *Store) ensureANN() *ann.Index {
 	}
 	for id := range s.words {
 		r := s.widenRowLocked(id)
-		if vec.Norm(r) == 0 {
+		if !placeable(r) {
 			continue // the exact scan skips zero vectors too
 		}
-		// Insert only fails on dimension mismatch or zero norm, both
-		// excluded here.
+		// Insert only fails on dimension mismatch or an unplaceable row,
+		// both excluded here.
 		_ = idx.Insert(id, r)
 	}
 	s.annIndex = idx

@@ -48,6 +48,7 @@ type telemetry struct {
 	repairSolve      *obs.Histogram // delta repairs only, see observeRepair
 	repairIndex      *obs.Histogram
 	repairNodes      *obs.Histogram
+	repairRelinked   *obs.Histogram
 	repairFailures   *obs.Counter
 	staleTransitions *obs.Counter
 	publishDur       *obs.Histogram
@@ -81,6 +82,7 @@ func (t *telemetry) noteStale(stale bool) bool {
 func (t *telemetry) observeRepair(rep retro.RepairStats) {
 	t.repairDur.ObserveDuration(rep.Duration)
 	t.repairNodes.Observe(float64(rep.Touched))
+	t.repairRelinked.Observe(float64(rep.Relinked))
 	if !rep.Full {
 		t.repairSolve.ObserveDuration(rep.Solve)
 		t.repairIndex.ObserveDuration(rep.Index)
@@ -144,6 +146,8 @@ func newTelemetry(s *Server, cfg Config) *telemetry {
 	t.repairIndex = repairStage("index")
 	t.repairNodes = reg.Histogram("retro_repair_nodes",
 		"Nodes re-solved per embedding repair.", "", obs.CountBuckets())
+	t.repairRelinked = reg.Histogram("retro_repair_relinked_nodes",
+		"Re-solved nodes whose ANN links were recomputed per embedding repair.", "", obs.CountBuckets())
 	t.repairFailures = reg.Counter("retro_repair_failures_total",
 		"Repairs that failed after rows were committed, leaving the session stale.", "")
 	t.staleTransitions = reg.Counter("retro_stale_transitions_total",

@@ -70,6 +70,7 @@ func TestMetricsExpositionValid(t *testing.T) {
 		`retro_repair_stage_duration_seconds_count{stage="solve"} 1`,
 		`retro_repair_stage_duration_seconds_count{stage="index"} 1`,
 		"retro_repair_nodes_count 1",
+		"retro_repair_relinked_nodes_count 1",
 		"retro_view_epoch 1",
 		"retro_view_swaps_total 1",
 		"retro_view_publish_duration_seconds_count 2",

@@ -109,11 +109,19 @@ type RepairStats struct {
 	// Solve and Index split a delta repair's Duration in two: working out
 	// the new vectors (delta extraction, problem growth, staging the new
 	// rows, the incremental solve), then writing them back (store rows,
-	// norm cache, one ANN re-link per touched row). Both are zero for a
-	// full re-solve, which rebuilds the store instead of updating it.
-	Solve    time.Duration
-	Index    time.Duration
-	Touched  int  // nodes re-solved (0 when the delta carried no values)
+	// norm cache, and each touched row's ANN node — moved in place, and
+	// re-linked only when its SQ8 code changed, or always on an
+	// unquantized index; see Relinked). Both are zero for a full re-solve,
+	// which rebuilds the store instead of updating it.
+	Solve   time.Duration
+	Index   time.Duration
+	Touched int // nodes re-solved (0 when the delta carried no values)
+	// Relinked counts the touched rows whose ANN links the write-back
+	// recomputed: new values and moved ones past the index's gate. It is
+	// at most Touched, and 0 when no built index was maintained (none
+	// yet, or the repair covered enough of the vocabulary to invalidate
+	// it for a rebuild).
+	Relinked int
 	NewNodes int  // values added to the vocabulary by the pass
 	Full     bool // true for a full re-solve, false for a delta repair
 }
@@ -357,6 +365,7 @@ func (s *Session) repairDelta(table string, rowIDs []int) error {
 	if len(touched)*2 >= store.Len() {
 		store.InvalidateANN()
 	}
+	linked := annLinked(store)
 	for _, id := range touched {
 		if s.mirror != nil {
 			// Round the repaired float64 row into the float32 store; the
@@ -367,14 +376,32 @@ func (s *Session) repairDelta(table string, rowIDs []int) error {
 		}
 	}
 	done := time.Now()
+	relinked := 0
+	if after := annLinked(store); after > linked {
+		relinked = int(after - linked)
+	}
 	s.lastRepair = RepairStats{
 		Duration: done.Sub(start),
 		Solve:    solved.Sub(start),
 		Index:    done.Sub(solved),
 		Touched:  len(touched),
+		Relinked: relinked,
 		NewNodes: len(rep.NewNodes),
 	}
 	return nil
+}
+
+// annLinked reads the running link count of the store's maintained index
+// (0 when it has none). The count survives the clone a frozen view forces
+// on the first write after it, so two reads around a write-back differ by
+// the links it made — unless the index went stale in between, when the
+// second read is 0 and the links went into a graph that is being thrown
+// away.
+func annLinked(store *Embedding) uint64 {
+	if idx := store.ANNIndex(); idx != nil {
+		return idx.Linked()
+	}
+	return 0
 }
 
 // solverMatrix returns the float64 matrix the incremental kernels bind

@@ -13,7 +13,13 @@ import (
 // repair re-solves a few hundred held values.
 func servedSession(t testing.TB) *Session {
 	t.Helper()
-	w := datagen.TMDB(datagen.TMDBConfig{Movies: 150, Dim: 24, Seed: 3})
+	return servedSessionOf(t, datagen.TMDBConfig{Movies: 150, Dim: 24, Seed: 3})
+}
+
+// servedSessionOf is servedSession on another generated world.
+func servedSessionOf(t testing.TB, world datagen.TMDBConfig) *Session {
+	t.Helper()
+	w := datagen.TMDB(world)
 	cfg := Defaults()
 	cfg.ANNThreshold = 1
 	cfg.Precision = F32
@@ -59,7 +65,7 @@ func TestSessionInsertsLeaveNoTombstones(t *testing.T) {
 	slots := store.ANNIndex().Len()
 	builtB := b.Model().Store().ANNIndex()
 
-	moved := 0
+	moved, relinked := 0, 0
 	for i := 0; i < 20; i++ {
 		row := benchMovieRow(90_000+i, fmt.Sprintf("tombstone free premiere %d", i))
 		// The server publishes a frozen view between writes, so each write
@@ -75,6 +81,10 @@ func TestSessionInsertsLeaveNoTombstones(t *testing.T) {
 		if rep.Full || rep.Touched == 0 {
 			t.Fatalf("insert %d: repair %+v, want an incremental repair", i, rep)
 		}
+		if rep.Relinked < rep.NewNodes || rep.Relinked > rep.Touched {
+			t.Fatalf("insert %d: repair %+v re-linked outside [NewNodes, Touched]", i, rep)
+		}
+		relinked += rep.Relinked - rep.NewNodes
 		moved += rep.Touched - rep.NewNodes
 		slots += rep.NewNodes
 
@@ -93,7 +103,12 @@ func TestSessionInsertsLeaveNoTombstones(t *testing.T) {
 		t.Fatal("the index was replaced during the inserts: it was rebuilt")
 	}
 	if moved == 0 {
-		t.Fatal("no repair touched a held value: nothing was re-linked")
+		t.Fatal("no repair touched a held value: nothing was moved")
+	}
+	// On SQ8 a moved value is re-linked only when its code changed.
+	t.Logf("%d of %d moved values re-linked", relinked, moved)
+	if relinked == 0 || relinked == moved {
+		t.Fatalf("%d of %d moved values re-linked: want some moves to keep their code and some to change it", relinked, moved)
 	}
 	nonZero := 0
 	for id := 0; id < store.Len(); id++ {
@@ -116,4 +131,40 @@ func isZero(v []float64) bool {
 		}
 	}
 	return true
+}
+
+// TestSessionMaintainedRecall: after a run of single-row inserts on the
+// served world — every repair moving a few hundred held values, most of
+// them within their SQ8 code, which keeps their links — the maintained
+// index serves the recall@10 of one built fresh from the final store.
+func TestSessionMaintainedRecall(t *testing.T) {
+	inserts := 120
+	if testing.Short() || raceEnabled {
+		inserts = 40
+	}
+	sess := servedSessionOf(t, datagen.TMDBConfig{Movies: 400, Dim: 48, Seed: 5})
+	store := sess.Model().Store()
+	built := store.ANNIndex()
+	touched, relinked := 0, 0
+	for i := 0; i < inserts; i++ {
+		store.Freeze() // as the server publishes between writes
+		if err := sess.Insert("movies", benchMovieRow(91_000+i, fmt.Sprintf("maintained premiere %d", i))); err != nil {
+			t.Fatal(err)
+		}
+		rep := sess.LastRepair()
+		touched += rep.Touched
+		relinked += rep.Relinked
+	}
+	// A maintained index has linked what the build did plus what every
+	// repair reported; a rebuilt one would have started its count over.
+	if idx := store.ANNIndex(); idx == nil || idx.Linked() != built.Linked()+uint64(relinked) {
+		t.Fatal("the index was not maintained through the inserts, or the repairs misreported their re-links")
+	}
+	fresh := store.Clone()
+	fresh.WarmANN()
+	got, want := recallAt10(store), recallAt10(fresh)
+	t.Logf("%d inserts re-linked %d of %d re-solved values; recall@10 maintained %.4f, fresh build %.4f", inserts, relinked, touched, got, want)
+	if got < want-0.005 {
+		t.Fatalf("maintained recall@10 %.4f is more than 0.005 below a fresh build's %.4f", got, want)
+	}
 }
