@@ -468,14 +468,13 @@ func TestMoveWithinCodeKeepsLinks(t *testing.T) {
 
 			// Query each moved node's old position: the re-rank must score
 			// the node at its new vector, not the one it left.
-			var q32 []float32
 			stale := 0
 			for _, m := range moves {
 				nd := &ix.nodes[ix.slots[m.id]]
 				q := unitOf(m.old)
 				want := vec.Dot(q, unitOf(m.new))
 				if ix.f32 {
-					q32 = vec.Narrow(make([]float32, dim), q)
+					q32 := vec.Narrow(make([]float32, dim), q)
 					want = vec.Dot32(q32, nd.vec32)
 					if want == vec.Dot32(q32, vec.Narrow(make([]float32, dim), unitOf(m.old))) {
 						stale++ // the move is below float32 resolution here
